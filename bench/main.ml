@@ -390,12 +390,11 @@ let e29_measure ~trials ~lookups n =
   let order = Array.init lookups (fun _ -> Numerics.Rng.int rng ~bound:n) in
   let chained = Demux.Sequent.create ~chains:19 () in
   Array.iter (fun f -> ignore (Demux.Sequent.insert chained f ())) population;
-  let flat = Demux.Flat_table.create ~initial_capacity:n () in
+  let flat = Demux.Packed_table.Heap.create ~initial_capacity:n () in
   Array.iteri
     (fun id f ->
-      Demux.Flat_table.replace flat ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f)
-        (Demux.Pcb.make ~id ~flow:f ()))
+      Demux.Packed_table.Heap.replace flat ~w0:(Demux.Flow_key.w0_of_flow f)
+        ~w1:(Demux.Flow_key.w1_of_flow f) id)
     population;
   let run_chained count =
     for k = 0 to count - 1 do
@@ -406,7 +405,7 @@ let e29_measure ~trials ~lookups n =
     for k = 0 to count - 1 do
       let f = population.(order.(k)) in
       ignore
-        (Demux.Flat_table.find flat ~w0:(Demux.Flow_key.w0_of_flow f)
+        (Demux.Packed_table.Heap.find flat ~w0:(Demux.Flow_key.w0_of_flow f)
            ~w1:(Demux.Flow_key.w1_of_flow f))
     done
   in
@@ -487,13 +486,11 @@ type e31_row = {
 }
 
 let e31_measure ~warmup ~total ?initial_capacity ~name resize =
-  let table : int Demux.Flat_table.t =
-    Demux.Flat_table.create ?initial_capacity ~resize ()
-  in
+  let table = Demux.Packed_table.Heap.create ?initial_capacity ~resize () in
   (* Distinct per-index keys: w0 carries the index, w1 is a mix. *)
   let w1_of i = (i lxor 0x2545F491) * 0x9E3779B9 in
-  let insert i = Demux.Flat_table.replace table ~w0:i ~w1:(w1_of i) i in
-  let remove i = Demux.Flat_table.remove table ~w0:i ~w1:(w1_of i) in
+  let insert i = Demux.Packed_table.Heap.replace table ~w0:i ~w1:(w1_of i) i in
+  let remove i = Demux.Packed_table.Heap.remove table ~w0:i ~w1:(w1_of i) in
   (* Churn: every 16th insert retires a key 8 behind it (untimed), so
      the ramp exercises backward-shift deletion and migration under a
      mixed mutation stream, not a pure append.  Gc.minor between
@@ -534,7 +531,7 @@ let e31_measure ~warmup ~total ?initial_capacity ~name resize =
     p50_ns = latencies.(timed / 2);
     p999_ns = latencies.(timed * 999 / 1000);
     max_ns = latencies.(timed - 1);
-    resizes = Demux.Flat_table.resizes table }
+    resizes = Demux.Packed_table.Heap.resizes table }
 
 (* Host noise on a shared core arrives in bursts (scheduler ticks,
    vCPU steal) that can inflate a whole measurement epoch; noise only
@@ -554,10 +551,10 @@ let e31 ~smoke () =
   in
   (* [2 * total] rounds up to a power of two past the 7/8 growth
      trigger for the whole ramp, so the control run never resizes. *)
-  [ e31_best ~warmup ~total ~name:"incremental" Demux.Flat_table.Incremental;
-    e31_best ~warmup ~total ~name:"doubling" Demux.Flat_table.Doubling;
+  [ e31_best ~warmup ~total ~name:"incremental" Demux.Packed_table.Incremental;
+    e31_best ~warmup ~total ~name:"doubling" Demux.Packed_table.Doubling;
     e31_best ~warmup ~total ~initial_capacity:(2 * total) ~name:"presized"
-      Demux.Flat_table.Incremental ]
+      Demux.Packed_table.Incremental ]
 
 (* The tentpole's acceptance bar: the ramp really crosses growth
    triggers for both growing policies, the control never grows,
@@ -670,8 +667,8 @@ let e33_read_path ~smoke () =
   let population = if smoke then 10_000 else 50_000 in
   let lookups = if smoke then 100_000 else 400_000 in
   let flows = Sim.Topology.flows population in
-  let t = Epoch.Table.create () in
-  Epoch.Table.load t
+  let t = Epoch.Packed.Heap.create () in
+  Epoch.Packed.Heap.load t
     (Array.mapi
        (fun i f ->
          (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f, i))
@@ -680,20 +677,24 @@ let e33_read_path ~smoke () =
   let order =
     Array.init lookups (fun _ -> Numerics.Rng.int rng ~bound:population)
   in
+  let get f =
+    Epoch.Packed.Heap.get t ~w0:(Demux.Flow_key.w0_of_flow f)
+      ~w1:(Demux.Flow_key.w1_of_flow f) ~default:(-1)
+  in
   (* Warm: the one-time reader registration happens here, before the
      counters are read. *)
   for k = 0 to 999 do
-    ignore (Epoch.Table.find_flow t flows.(order.(k)))
+    ignore (get flows.(order.(k)))
   done;
-  let locks_before = Epoch.Table.lock_acquisitions t in
+  let locks_before = Epoch.Packed.Heap.lock_acquisitions t in
   let words_before = Gc.minor_words () in
   for k = 0 to lookups - 1 do
-    ignore (Epoch.Table.find_flow t flows.(order.(k)))
+    ignore (get flows.(order.(k)))
   done;
   let words =
     (Gc.minor_words () -. words_before) /. float_of_int lookups
   in
-  (Epoch.Table.lock_acquisitions t - locks_before, words)
+  (Epoch.Packed.Heap.lock_acquisitions t - locks_before, words)
 
 let e33_rate results ~target ~domains =
   let found =

@@ -1,188 +1,26 @@
-(* A faithful copy of Epoch.Table's regions and write path, kept
-   byte-for-byte close so the only behavioural difference is the
-   planted bug: [publish] scrubs the replaced region immediately
-   instead of retiring it until readers quiesce.  See the .mli. *)
+(* Epoch.Packed's copy-on-write publication without its grace period:
+   the planted bug below is the only write-side logic here. *)
 
-type 'a region = {
-  tags : Bytes.t;
-  hs : int array;
-  w0s : int array;
-  w1s : int array;
-  vals : 'a option array;
-  mask : int;
-  mutable count : int;
-}
+module P = Demux.Packed_table.Heap
 
-let min_capacity = 8
-let scrub_tag = 255
+type t = P.region Atomic.t
+type view = P.region
 
-let tag_of_hash h =
-  let tag = (h lsr 16) land 0xFF in
-  if tag = 0 || tag = scrub_tag then 1 else tag
+let hash = Demux.Flow_key.hash_words
+let create () = Atomic.make (P.Region.create ~capacity:8)
 
-let make_region cap =
-  { tags = Bytes.make cap '\000';
-    hs = Array.make cap 0;
-    w0s = Array.make cap 0;
-    w1s = Array.make cap 0;
-    vals = Array.make cap None;
-    mask = cap - 1;
-    count = 0 }
-
-let copy_region r =
-  { tags = Bytes.copy r.tags;
-    hs = Array.copy r.hs;
-    w0s = Array.copy r.w0s;
-    w1s = Array.copy r.w1s;
-    vals = Array.copy r.vals;
-    mask = r.mask;
-    count = r.count }
-
-let scrub r =
-  Bytes.fill r.tags 0 (Bytes.length r.tags) (Char.chr scrub_tag);
-  Array.fill r.hs 0 (Array.length r.hs) 0;
-  Array.fill r.w0s 0 (Array.length r.w0s) 0;
-  Array.fill r.w1s 0 (Array.length r.w1s) 0;
-  Array.fill r.vals 0 (Array.length r.vals) None;
-  r.count <- 0
-
-let distance r slot = (slot - (r.hs.(slot) land r.mask)) land r.mask
-
-let rec probe r tag w0 w1 slot dist =
-  let resident = Bytes.get_uint8 r.tags slot in
-  if resident = 0 then -1
-  else if resident = tag && r.w0s.(slot) = w0 && r.w1s.(slot) = w1 then slot
-  else if distance r slot < dist then -1
-  else probe r tag w0 w1 ((slot + 1) land r.mask) (dist + 1)
-
-let rec place r slot dist h tag w0 w1 v =
-  let resident = Bytes.get_uint8 r.tags slot in
-  if resident = 0 then begin
-    Bytes.set_uint8 r.tags slot tag;
-    r.hs.(slot) <- h;
-    r.w0s.(slot) <- w0;
-    r.w1s.(slot) <- w1;
-    r.vals.(slot) <- v;
-    r.count <- r.count + 1
-  end
-  else begin
-    let rdist = distance r slot in
-    if rdist < dist then begin
-      let h' = r.hs.(slot)
-      and tag' = resident
-      and w0' = r.w0s.(slot)
-      and w1' = r.w1s.(slot)
-      and v' = r.vals.(slot) in
-      Bytes.set_uint8 r.tags slot tag;
-      r.hs.(slot) <- h;
-      r.w0s.(slot) <- w0;
-      r.w1s.(slot) <- w1;
-      r.vals.(slot) <- v;
-      place r ((slot + 1) land r.mask) (rdist + 1) h' tag' w0' w1' v'
-    end
-    else place r ((slot + 1) land r.mask) (dist + 1) h tag w0 w1 v
-  end
-
-let insert_fresh r h w0 w1 v =
-  place r (h land r.mask) 0 h (tag_of_hash h) w0 w1 (Some v)
-
-let rec backshift r slot =
-  let next = (slot + 1) land r.mask in
-  let next_tag = Bytes.get_uint8 r.tags next in
-  if next_tag = 0 || distance r next = 0 then begin
-    Bytes.set_uint8 r.tags slot 0;
-    r.hs.(slot) <- 0;
-    r.w0s.(slot) <- 0;
-    r.w1s.(slot) <- 0;
-    r.vals.(slot) <- None
-  end
-  else begin
-    Bytes.set_uint8 r.tags slot next_tag;
-    r.hs.(slot) <- r.hs.(next);
-    r.w0s.(slot) <- r.w0s.(next);
-    r.w1s.(slot) <- r.w1s.(next);
-    r.vals.(slot) <- r.vals.(next);
-    backshift r next
-  end
-
-let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
-
-type 'a t = {
-  published : 'a region Atomic.t;
-  hash : int -> int -> int;
-}
-
-type 'a view = { view_region : 'a region; view_hash : int -> int -> int }
-
-let create ?(hash = Demux.Flow_key.hash_words)
-    ?(initial_capacity = min_capacity) () =
-  if initial_capacity < 0 then
-    invalid_arg "Buggy_epoch.create: initial_capacity < 0";
-  let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
-  { published = Atomic.make (make_region cap); hash }
-
-(* The planted bug: the replaced region is poisoned NOW, pins or no
-   pins.  Epoch.Table's publish hands it to Core.retire instead. *)
-let publish t fresh old =
-  Atomic.set t.published fresh;
-  scrub old
-
+(* THE PLANTED BUG: the replaced region is poisoned NOW, pins or no
+   pins.  Epoch.Packed's publish hands it to Core.retire instead. *)
 let replace t ~w0 ~w1 v =
-  let cur = Atomic.get t.published in
-  let h = t.hash w0 w1 in
-  let slot = probe cur (tag_of_hash h) w0 w1 (h land cur.mask) 0 in
-  let fresh =
-    if slot >= 0 then begin
-      let fresh = copy_region cur in
-      fresh.vals.(slot) <- Some v;
-      fresh
-    end
-    else begin
-      let fresh =
-        if (cur.count + 1) * 8 > (cur.mask + 1) * 7 then begin
-          let grown = make_region ((cur.mask + 1) * 2) in
-          for s = 0 to cur.mask do
-            if Bytes.get_uint8 cur.tags s <> 0 then
-              insert_fresh grown cur.hs.(s) cur.w0s.(s) cur.w1s.(s)
-                (match cur.vals.(s) with
-                | Some v -> v
-                | None -> assert false)
-          done;
-          grown
-        end
-        else copy_region cur
-      in
-      insert_fresh fresh h w0 w1 v;
-      fresh
-    end
-  in
-  publish t fresh cur
+  let cur = Atomic.get t in
+  Atomic.set t (P.Region.bound cur ~hash:(hash w0 w1) ~w0 ~w1 v);
+  Demux.Storage.Heap.scrub cur.P.store
 
-let remove t ~w0 ~w1 =
-  let cur = Atomic.get t.published in
-  let h = t.hash w0 w1 in
-  let slot = probe cur (tag_of_hash h) w0 w1 (h land cur.mask) 0 in
-  if slot >= 0 then begin
-    let fresh = copy_region cur in
-    backshift fresh slot;
-    fresh.count <- fresh.count - 1;
-    publish t fresh cur
-  end
+let pin = Atomic.get
 
-let find_opt t ~w0 ~w1 =
-  let r = Atomic.get t.published in
-  let h = t.hash w0 w1 in
-  let slot = probe r (tag_of_hash h) w0 w1 (h land r.mask) 0 in
-  if slot < 0 then None else r.vals.(slot)
-
-let length t = (Atomic.get t.published).count
-let pin t = { view_region = Atomic.get t.published; view_hash = t.hash }
-
-let view_find view ~w0 ~w1 =
-  let r = view.view_region in
-  let h = view.view_hash w0 w1 in
-  let slot = probe r (tag_of_hash h) w0 w1 (h land r.mask) 0 in
-  if slot < 0 then None else r.vals.(slot)
+let view_find (r : view) ~w0 ~w1 =
+  let slot = P.Region.slot r ~hash:(hash w0 w1) ~w0 ~w1 in
+  if slot < 0 then None else Some (Demux.Storage.Heap.value r.P.store slot)
 
 let unpin _ = ()
 let pending _ = 0

@@ -1,38 +1,17 @@
-(** An epoch table with a planted use-after-reclaim bug.
+(** A copy-on-write table with a planted use-after-reclaim bug.
 
-    A close copy of {!Epoch.Table}'s copy-mutate-publish write path —
-    same packed region layout, Robin-Hood probes, growth rule and
-    scrub-on-free poisoning — except that {e retiring ignores the
-    grace period}: the writer scrubs the replaced region the moment it
-    publishes the new one, without consulting reader pins.  A reader
-    holding a pinned view across a writer's resize therefore probes a
-    poisoned region and misses flows that were resident when it
-    pinned.
+    Writes build their regions exactly as {!Epoch.Packed} does
+    ({!Demux.Packed_table.S.Region.bound}), except that {e retiring
+    ignores the grace period}: the writer scrubs the replaced region
+    the moment it publishes the new one, without consulting reader
+    pins.  A reader holding a pinned view across a writer's resize
+    therefore probes a poisoned region and misses flows that were
+    resident when it pinned.
 
     Like {!Buggy_table}, this exists to prove the harness catches the
     bug class: {!Epoch_audit.run} reports [wrong = 0] and a non-empty
-    retire backlog for the real {!Epoch.Table}, and [wrong > 0] with a
+    retire backlog for the real {!Epoch.Packed}, and [wrong > 0] with a
     permanently empty backlog for this table (asserted in
     [test_check.ml]). *)
 
-type 'a t
-
-val create : ?hash:(int -> int -> int) -> ?initial_capacity:int -> unit -> 'a t
-val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-val remove : 'a t -> w0:int -> w1:int -> unit
-val find_opt : 'a t -> w0:int -> w1:int -> 'a option
-val length : 'a t -> int
-
-type 'a view
-
-val pin : 'a t -> 'a view
-(** The planted bug means the pin protects nothing: the view's region
-    is scrubbed by the next publish. *)
-
-val view_find : 'a view -> w0:int -> w1:int -> 'a option
-val unpin : 'a t -> unit
-
-val pending : 'a t -> int
-(** Always [0] — nothing is ever deferred, which is the bug. *)
-
-val quiesce : 'a t -> unit
+include Epoch_audit.TABLE

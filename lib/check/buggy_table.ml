@@ -1,150 +1,19 @@
-(* A faithful copy of Demux.Flat_table's Robin-Hood open addressing,
-   except [remove] skips the backward shift (see the .mli).  Kept
-   byte-for-byte close to the original so the only behavioural
-   difference is the planted bug. *)
+(* The real engine, with the planted bug below as its only change. *)
 
-type 'a t = {
-  mutable tags : Bytes.t;
-  mutable hs : int array;
-  mutable w0s : int array;
-  mutable w1s : int array;
-  mutable vals : 'a option array;
-  mutable mask : int;
-  mutable size : int;
-  hash : int -> int -> int;
-}
+include Demux.Packed_table.Heap
 
-let default_hash = Demux.Flow_key.hash_words
-
-let min_capacity = 8
-
-let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
-
-(* [resize] is part of the {!Subject.FLAT} surface; the buggy copy
-   ignores it and always rebuilds by doubling. *)
-let create ?(hash = default_hash) ?(initial_capacity = min_capacity)
-    ?resize:(_ : Demux.Flat_table.resize option) () =
-  if initial_capacity < 0 then
-    invalid_arg "Buggy_table.create: initial_capacity < 0";
-  let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
-  { tags = Bytes.make cap '\000';
-    hs = Array.make cap 0;
-    w0s = Array.make cap 0;
-    w1s = Array.make cap 0;
-    vals = Array.make cap None;
-    mask = cap - 1;
-    size = 0;
-    hash }
-
-let length t = t.size
-
-let tag_of_hash h =
-  let tag = (h lsr 16) land 0xFF in
-  if tag = 0 then 1 else tag
-
-let distance t slot = (slot - (t.hs.(slot) land t.mask)) land t.mask
-
-let rec probe t tag w0 w1 slot dist =
-  let resident = Bytes.get_uint8 t.tags slot in
-  if resident = 0 then -1
-  else if resident = tag && t.w0s.(slot) = w0 && t.w1s.(slot) = w1 then slot
-  else if distance t slot < dist then -1
-  else probe t tag w0 w1 ((slot + 1) land t.mask) (dist + 1)
-
-let find_slot t w0 w1 =
-  let h = t.hash w0 w1 in
-  probe t (tag_of_hash h) w0 w1 (h land t.mask) 0
-
-let find_opt t ~w0 ~w1 =
-  let slot = find_slot t w0 w1 in
-  if slot < 0 then None else t.vals.(slot)
-
-let mem t ~w0 ~w1 = find_slot t w0 w1 >= 0
-
-let insert_fresh t h w0 w1 v =
-  let tag = ref (tag_of_hash h) in
-  let h = ref h and w0 = ref w0 and w1 = ref w1 and v = ref v in
-  let slot = ref (!h land t.mask) in
-  let dist = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let resident = Bytes.get_uint8 t.tags !slot in
-    if resident = 0 then begin
-      Bytes.set_uint8 t.tags !slot !tag;
-      t.hs.(!slot) <- !h;
-      t.w0s.(!slot) <- !w0;
-      t.w1s.(!slot) <- !w1;
-      t.vals.(!slot) <- Some !v;
-      continue := false
-    end
-    else begin
-      let resident_dist = distance t !slot in
-      if resident_dist < !dist then begin
-        let h' = t.hs.(!slot) and w0' = t.w0s.(!slot)
-        and w1' = t.w1s.(!slot) in
-        let v' =
-          match t.vals.(!slot) with Some v -> v | None -> assert false
-        in
-        Bytes.set_uint8 t.tags !slot !tag;
-        t.hs.(!slot) <- !h;
-        t.w0s.(!slot) <- !w0;
-        t.w1s.(!slot) <- !w1;
-        t.vals.(!slot) <- Some !v;
-        tag := tag_of_hash h';
-        h := h';
-        w0 := w0';
-        w1 := w1';
-        v := v';
-        dist := resident_dist
-      end;
-      slot := (!slot + 1) land t.mask;
-      incr dist
-    end
-  done;
-  t.size <- t.size + 1
-
-let grow t =
-  let old_tags = t.tags and old_hs = t.hs and old_w0s = t.w0s
-  and old_w1s = t.w1s and old_vals = t.vals in
-  let old_cap = t.mask + 1 in
-  let cap = old_cap * 2 in
-  t.tags <- Bytes.make cap '\000';
-  t.hs <- Array.make cap 0;
-  t.w0s <- Array.make cap 0;
-  t.w1s <- Array.make cap 0;
-  t.vals <- Array.make cap None;
-  t.mask <- cap - 1;
-  t.size <- 0;
-  for slot = 0 to old_cap - 1 do
-    if Bytes.get_uint8 old_tags slot <> 0 then
-      let v = match old_vals.(slot) with Some v -> v | None -> assert false in
-      insert_fresh t old_hs.(slot) old_w0s.(slot) old_w1s.(slot) v
-  done
-
-let replace t ~w0 ~w1 v =
-  let slot = find_slot t w0 w1 in
-  if slot >= 0 then t.vals.(slot) <- Some v
-  else begin
-    if (t.size + 1) * 8 > (t.mask + 1) * 7 then grow t;
-    insert_fresh t (t.hash w0 w1) w0 w1 v
-  end
+let create () = create ()
 
 (* THE PLANTED BUG: a correct Robin-Hood delete backward-shifts the
    displaced successors of the vacated slot.  This one just clears it,
    leaving an empty hole that terminates later probes early and strands
-   any entry that had been pushed past [slot]. *)
+   any entry that had been pushed past the slot.  (Keys found only in a
+   draining old region take the real path.) *)
 let remove t ~w0 ~w1 =
-  let slot = find_slot t w0 w1 in
-  if slot >= 0 then begin
-    Bytes.set_uint8 t.tags slot 0;
-    t.vals.(slot) <- None;
-    t.size <- t.size - 1
+  let r = live t in
+  let slot = Region.slot r ~hash:(Demux.Flow_key.hash_words w0 w1) ~w0 ~w1 in
+  if slot < 0 then remove t ~w0 ~w1
+  else begin
+    Demux.Storage.Heap.set_tag r.store slot 0;
+    r.count <- r.count - 1
   end
-
-let iter f t =
-  for slot = 0 to t.mask do
-    if Bytes.get_uint8 t.tags slot <> 0 then
-      match t.vals.(slot) with
-      | Some v -> f ~w0:t.w0s.(slot) ~w1:t.w1s.(slot) v
-      | None -> assert false
-  done

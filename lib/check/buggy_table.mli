@@ -1,34 +1,27 @@
-(** A deliberately broken copy of {!Demux.Flat_table}, for proving the
+(** {!Demux.Packed_table.Heap} with a planted bug, for proving the
     fuzzer's teeth.
 
-    Identical Robin-Hood layout, hash, tags, displacement insertion and
-    growth — except [remove] just empties the victim's slot instead of
-    backward-shifting its displaced successors.  The hole it leaves
-    terminates later probe sequences early, so entries that were pushed
-    past the deleted slot become unreachable: lookups miss residents
-    and [iter] still sees them, exactly the membership corruption the
-    differential oracle's content audit describes.
+    Everything is the real engine except [remove], which empties the
+    victim's live-region slot instead of backward-shifting its
+    displaced successors.  The hole it leaves terminates later probe
+    sequences early, so entries that were pushed past the deleted slot
+    become unreachable: lookups miss residents and [iter] still sees
+    them, exactly the membership corruption the differential oracle's
+    content audit describes.
 
     Test-only: nothing outside [test/] should depend on this module.
-    Its surface is {!Subject.FLAT}, so [Subject.of_flat] adapts it
+    Its surface is {!Subject.INDEX}, so [Subject.of_index] adapts it
     straight into the harness. *)
 
-type 'a t
+type t
 
-val create :
-  ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-  ?resize:Demux.Flat_table.resize -> unit -> 'a t
-(** [resize] is accepted for {!Subject.FLAT} compatibility and
-    ignored: the buggy copy predates incremental growth and always
-    rebuilds by doubling.  The planted bug is in [remove] either
-    way. *)
+val create : unit -> t
+val length : t -> int
+val find_opt : t -> w0:int -> w1:int -> int option
+val mem : t -> w0:int -> w1:int -> bool
+val replace : t -> w0:int -> w1:int -> int -> unit
 
-val length : 'a t -> int
-val find_opt : 'a t -> w0:int -> w1:int -> 'a option
-val mem : 'a t -> w0:int -> w1:int -> bool
-val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
+val remove : t -> w0:int -> w1:int -> unit
+(** The bug: clears a live-region slot without the backward shift. *)
 
-val remove : 'a t -> w0:int -> w1:int -> unit
-(** The bug: clears the slot without the backward shift. *)
-
-val iter : (w0:int -> w1:int -> 'a -> unit) -> 'a t -> unit
+val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit

@@ -1,14 +1,14 @@
 module type TABLE = sig
-  type 'a t
-  type 'a view
+  type t
+  type view
 
-  val create : unit -> 'a t
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val pin : 'a t -> 'a view
-  val view_find : 'a view -> w0:int -> w1:int -> 'a option
-  val unpin : 'a t -> unit
-  val pending : 'a t -> int
-  val quiesce : 'a t -> unit
+  val create : unit -> t
+  val replace : t -> w0:int -> w1:int -> int -> unit
+  val pin : t -> view
+  val view_find : view -> w0:int -> w1:int -> int option
+  val unpin : t -> unit
+  val pending : t -> int
+  val quiesce : t -> unit
 end
 
 type result = {

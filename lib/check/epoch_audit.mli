@@ -18,20 +18,20 @@
     regression survives generator drift; this audit covers the half a
     replay cannot: the reader that outlives the region it reads. *)
 
-(** The surface the audit drives.  {!Epoch.Table} satisfies it (via a
+(** The surface the audit drives.  {!Epoch.Packed} satisfies it (via a
     trivial adapter fixing [create]'s optional arguments);
     {!Buggy_epoch} satisfies it with the planted bug. *)
 module type TABLE = sig
-  type 'a t
-  type 'a view
+  type t
+  type view
 
-  val create : unit -> 'a t
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val pin : 'a t -> 'a view
-  val view_find : 'a view -> w0:int -> w1:int -> 'a option
-  val unpin : 'a t -> unit
-  val pending : 'a t -> int
-  val quiesce : 'a t -> unit
+  val create : unit -> t
+  val replace : t -> w0:int -> w1:int -> int -> unit
+  val pin : t -> view
+  val view_find : view -> w0:int -> w1:int -> int option
+  val unpin : t -> unit
+  val pending : t -> int
+  val quiesce : t -> unit
 end
 
 type result = {

@@ -45,7 +45,7 @@ module type S = sig
 
   val create :
     ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Flat_table.resize -> unit -> t
+    ?resize:Packed_table.resize -> unit -> t
 
   val create2 :
     ?hash1:(int -> int -> int) -> ?hash2:(int -> int -> int) ->
@@ -53,7 +53,7 @@ module type S = sig
 
   val length : t -> int
   val capacity : t -> int
-  val resize_policy : t -> Flat_table.resize
+  val resize_policy : t -> Packed_table.resize
   val resizes : t -> int
   val pending_migration : t -> int
   val bytes : t -> int
@@ -150,7 +150,7 @@ module Make (St : Storage.S) : S = struct
 
   let length t = t.count + t.stash_len
   let capacity t = t.nbuckets * slots_per_bucket
-  let resize_policy _ = Flat_table.Doubling
+  let resize_policy _ = Packed_table.Doubling
   let resizes t = t.resizes
   let pending_migration _ = 0
   let buckets t = t.nbuckets

@@ -1,9 +1,9 @@
 (** Bucketized cuckoo hashing with per-bucket tag vectors and a
     negative-lookup filter (Cuckoo++, Le Scouarnec — PAPERS.md).
 
-    The flat tables ({!Flat_table}, {!Packed_table}) probe a
-    displacement cluster to prove a key {e absent}, which is exactly
-    the operation a SYN flood buys in bulk.  This backend bounds the
+    The flat table ({!Packed_table}) probes a displacement cluster to
+    prove a key {e absent}, which is exactly the operation a SYN flood
+    buys in bulk.  This backend bounds the
     worst case instead:
 
     - {b 8-slot buckets} over a {!Storage.S} region.  Bucket [b] is
@@ -82,7 +82,7 @@ module type S = sig
 
   val create :
     ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Flat_table.resize -> unit -> t
+    ?resize:Packed_table.resize -> unit -> t
   (** {!Packed_table.S}-compatible constructor: [hash] overrides the
       primary hash only.  [resize] is accepted for interface
       compatibility and ignored — cuckoo growth is always
@@ -101,7 +101,7 @@ module type S = sig
   val capacity : t -> int
   (** Bucket slots ([buckets t * 8]); the stash is extra. *)
 
-  val resize_policy : t -> Flat_table.resize
+  val resize_policy : t -> Packed_table.resize
   val resizes : t -> int
 
   val pending_migration : t -> int

@@ -5,7 +5,7 @@ type 'a entry = { node : 'a Chain.node; home : int }
 type 'a t = {
   buckets : 'a Chain.t array;
   hasher : Hashing.Hashers.t;
-  index : 'a entry Flat_table.t;
+  index : 'a entry Handle_table.t;
   stats : Lookup_stats.t;
   mutable next_id : int;
 }
@@ -16,7 +16,7 @@ let create ?(chains = Sequent.default_chains)
     ?(hasher = Hashing.Hashers.multiplicative) () =
   if chains <= 0 then invalid_arg "Hashed_mtf.create: chains <= 0";
   { buckets = Array.init chains (fun _ -> Chain.create ()); hasher;
-    index = Flat_table.create ~initial_capacity:64 ();
+    index = Handle_table.create ~initial_capacity:64 ();
     stats = Lookup_stats.create (); next_id = 0 }
 
 let chains t = Array.length t.buckets
@@ -27,23 +27,23 @@ let bucket_index t flow =
 
 let insert t flow data =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  if Flat_table.mem t.index ~w0 ~w1 then
+  if Handle_table.mem t.index ~w0 ~w1 then
     invalid_arg "Hashed_mtf.insert: duplicate flow";
   let pcb = Pcb.make ~id:t.next_id ~flow data in
   t.next_id <- t.next_id + 1;
   let home = bucket_index t flow in
   let node = Chain.push_front t.buckets.(home) pcb in
-  Flat_table.replace t.index ~w0 ~w1 { node; home };
+  Handle_table.replace t.index ~w0 ~w1 { node; home };
   Lookup_stats.note_insert t.stats;
   pcb
 
 let remove t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  match Flat_table.find_opt t.index ~w0 ~w1 with
-  | None -> None
-  | Some { node; home } ->
+  match Handle_table.find t.index ~w0 ~w1 with
+  | exception Not_found -> None
+  | { node; home } ->
     Chain.remove t.buckets.(home) node;
-    Flat_table.remove t.index ~w0 ~w1;
+    Handle_table.remove t.index ~w0 ~w1;
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
 
@@ -63,12 +63,12 @@ let lookup t ?kind:_ flow =
 
 let note_send t flow =
   match
-    Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
+    Handle_table.find t.index ~w0:(Flow_key.w0_of_flow flow)
       ~w1:(Flow_key.w1_of_flow flow)
   with
-  | Some { node; _ } -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
+  | { node; _ } -> Pcb.note_tx (Chain.pcb node)
+  | exception Not_found -> ()
 
 let stats t = t.stats
-let length t = Flat_table.length t.index
+let length t = Handle_table.length t.index
 let iter f t = Array.iter (fun chain -> Chain.iter f chain) t.buckets

@@ -1,32 +1,76 @@
-(* Flat_table's Robin-Hood + incremental-resize machinery, functored
-   over Storage.S so the slot arrays can live off the OCaml heap.
-   The algorithm is line-for-line the one in flat_table.ml (see the
-   long header there for the displacement / dead-marking / drain
-   arguments); differences are confined to:
+(* The one Robin-Hood engine: open addressing over packed flow keys,
+   functored over Storage.S so the slot arrays can live on the heap or
+   off it.  Every other flow-keyed index in the tree (Handle_table's
+   boxed values, Epoch.Packed's copy-on-write regions, the planted-bug
+   copies in lib/check) is built from the primitives below; nothing
+   else probes, displaces, backshifts or resizes.
 
-   - slot access goes through the storage module's accessors (which
-     compile to direct Bytes/Array/Bigarray loads in each instance);
-   - values are bare ints, so there is no [vals : 'a option array] —
-     occupancy is the tag byte alone, and no lane ever holds a
-     pointer;
-   - [kill_slot] assertion-checks the old-region accounting so
-     [pending_migration] can never silently go negative (ISSUE 8
-     satellite: a double dead-mark under a Guarded wrapper's eviction
-     racing a user remove would otherwise wedge the drain-termination
-     condition [o.count = 0]). *)
+   Layout is struct-of-arrays (Storage.S) so a probe touches
+   cache-dense flat storage instead of pointer-chasing boxed buckets:
+
+   - tag   : one byte per slot.  0 means empty, 255 ([dead_tag]) a
+     dead old-region slot; otherwise an 8-bit digest of the hash
+     ([(h lsr 16) land 0xFF], remapped into 1..254).  A probe compares
+     the tag byte before the two key words, so almost every
+     non-matching slot is rejected on a single byte load.
+   - hash  : the full stored hash per occupied slot (so probe
+     distances and resize need no re-hashing).
+   - w0/w1 : the inline packed key words ([Flow_key] layout).
+   - value : one int.  Boxed values go through Handle_table, which
+     stores a handle here.
+
+   Collision policy is Robin-Hood displacement: an inserted entry
+   steals the slot of any resident that is closer to its home bucket,
+   which bounds probe-length variance and lets lookups stop early once
+   they out-distance the resident.  Deletion in the live region is
+   backward-shift (move displaced successors one slot back), so the
+   table never holds tombstones and probe lengths do not degrade with
+   churn.  Capacity is a power of two and grows at 7/8 load.
+
+   Growth comes in two flavours ([resize]):
+
+   - [Incremental] (the default): when the trigger fires, the full
+     region becomes the frozen [old] region and a fresh region of
+     twice the capacity becomes [cur].  Every subsequent mutation
+     migrates a bounded number of entries (and visits a bounded number
+     of slots) from [old] into [cur], so no single insert ever pays the
+     O(N) rebuild; lookups probe [cur] then [old] while the drain is in
+     flight.  The old region never moves an entry once the drain
+     starts: migrated (and user-removed) slots are marked dead with the
+     reserved tag byte, keeping their stored hash so probe-distance
+     arithmetic — and therefore Robin-Hood early termination — still
+     works on the frozen layout.  A dead mark costs O(1) where a
+     backward shift out of a 7/8-full region costs a whole
+     displacement run, which is precisely the tail the incremental
+     policy exists to remove (E31); the region is garbage the moment
+     the drain ends, so the tombstone objection (probe degradation
+     under churn) does not apply to it.
+   - [Doubling]: the stop-the-world copy, kept so differential tests
+     can race the two policies against each other.
+
+   Drain-completes-before-next-trigger argument: growth C -> 2C starts
+   with at most 7C/8 entries to migrate, and the next trigger cannot
+   fire before [length] reaches 7C/4 — at least 7C/8 further inserts,
+   each migrating up to [migration_entries] (>= 1) entries.  The
+   defensive [drain_old] in [begin_grow] covers adversarial
+   interleavings anyway (it is a no-op when the budget maths holds). *)
+
+type resize = Doubling | Incremental
 
 module type S = sig
+  type store
+  type region = { store : store; mutable count : int }
   type t
 
   val backend : string
 
   val create :
-    ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Flat_table.resize -> unit -> t
+    ?hash:(int -> int -> int) -> ?initial_capacity:int -> ?resize:resize ->
+    unit -> t
 
   val length : t -> int
   val capacity : t -> int
-  val resize_policy : t -> Flat_table.resize
+  val resize_policy : t -> resize
   val resizes : t -> int
   val pending_migration : t -> int
   val bytes : t -> int
@@ -34,43 +78,221 @@ module type S = sig
   val find_opt : t -> w0:int -> w1:int -> int option
   val mem : t -> w0:int -> w1:int -> bool
   val replace : t -> w0:int -> w1:int -> int -> unit
+  val add : t -> w0:int -> w1:int -> int -> int
   val remove : t -> w0:int -> w1:int -> unit
+  val take : t -> w0:int -> w1:int -> default:int -> int
   val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
   val fold : (w0:int -> w1:int -> int -> 'b -> 'b) -> t -> 'b -> 'b
   val clear : t -> unit
   val max_probe_length : t -> int
   val probe_count : t -> w0:int -> w1:int -> int
+  val live : t -> region
+
+  module Region : sig
+    val create : capacity:int -> region
+    val copy : region -> region
+    val slot : region -> hash:int -> w0:int -> w1:int -> int
+    val insert : region -> hash:int -> w0:int -> w1:int -> int -> unit
+    val delete : region -> int -> unit
+    val regrown : region -> room:int -> region
+    val bound : region -> hash:int -> w0:int -> w1:int -> int -> region
+    val iter : (w0:int -> w1:int -> int -> unit) -> region -> unit
+  end
 end
 
 let default_hash = Flow_key.hash_words
 let min_capacity = 8
+
+(* Per-mutation drain budget: at most [migration_entries] entries are
+   moved and at most [migration_slot_budget] old-region slots are
+   inspected, so a mutation's resize tax is O(1) even when the old
+   region is sparse (long empty or dead runs cost slot visits, not
+   moves).  One entry per mutation would already finish the drain
+   before the next growth trigger, but the budget is set higher on
+   purpose: while the drain is in flight every inserted key also pays
+   an absent-key probe through the frozen, 7/8-full old region, so the
+   tail is minimized by finishing the drain quickly (E31). *)
 let migration_entries = 4
 let migration_slot_budget = 32
 let dead_tag = Storage.dead_tag
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
 
-module Make (St : Storage.S) : S = struct
+(* Smallest power-of-two capacity, at least [cap], that holds [count]
+   entries under the 7/8 load bound. *)
+let rec capacity_for cap count =
+  if count * 8 > cap * 7 then capacity_for (cap * 2) count else cap
+
+let tag_of_hash h =
+  let tag = (h lsr 16) land 0xFF in
+  if tag = 0 || tag = dead_tag then 1 else tag
+
+module Make (St : Storage.S) = struct
+  type store = St.t
   type region = { store : St.t; mutable count : int }
 
   type t = {
     mutable cur : region;
     mutable old : region option;
+        (* the pre-growth region still draining, oldest entries first *)
     mutable migrate_pos : int;
+        (* next old-region slot the drain will inspect (mod capacity) *)
     mutable resizes : int;
-    resize : Flat_table.resize;
+    resize : resize;
     hash : int -> int -> int;
   }
 
   let backend = St.backend
-  let make_region cap = { store = St.create ~capacity:cap; count = 0 }
+
+  module Region = struct
+    let create ~capacity = { store = St.create ~capacity; count = 0 }
+    let copy r = { store = St.copy r.store; count = r.count }
+
+    (* Distance of the entry resident at [slot] from its home bucket. *)
+    let[@inline] distance s slot =
+      (slot - (St.hash s slot land St.mask s)) land St.mask s
+
+    (* Returns the slot holding the key, or -1.  A top-level [rec] with
+       explicit arguments (not a closure, not [ref] cells) so the hit
+       path allocates nothing.  A dead slot never matches a lookup —
+       [tag_of_hash] avoids 255 — but its retained hash keeps the
+       distance comparison meaningful: the old region's layout is
+       frozen when the drain starts, so every displacement relation
+       that held then still holds, dead or alive. *)
+    let rec probe s tag w0 w1 slot dist =
+      let resident = St.tag s slot in
+      if resident = 0 then -1
+      else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then
+        slot
+      else if distance s slot < dist then
+        (* Robin-Hood invariant: had the key been present, it would
+           have displaced this closer-to-home resident. *)
+        -1
+      else probe s tag w0 w1 ((slot + 1) land St.mask s) (dist + 1)
+
+    let slot r ~hash ~w0 ~w1 =
+      let s = r.store in
+      probe s (tag_of_hash hash) w0 w1 (hash land St.mask s) 0
+
+    (* Robin-Hood insertion of a key known to be absent: walk from the
+       home slot, swapping the carried entry with any resident closer
+       to its own home, until an empty slot absorbs the carry. *)
+    let insert r ~hash ~w0 ~w1 v =
+      let s = r.store in
+      let tag = ref (tag_of_hash hash) in
+      let h = ref hash and w0 = ref w0 and w1 = ref w1 and v = ref v in
+      let slot = ref (!h land St.mask s) in
+      let dist = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let resident = St.tag s !slot in
+        if resident = 0 then begin
+          St.set_tag s !slot !tag;
+          St.set_hash s !slot !h;
+          St.set_words s !slot ~w0:!w0 ~w1:!w1;
+          St.set_value s !slot !v;
+          continue := false
+        end
+        else begin
+          let resident_dist = distance s !slot in
+          if resident_dist < !dist then begin
+            (* Swap: the resident is richer (closer to home); it yields
+               the slot and we carry it onward. *)
+            let h' = St.hash s !slot and w0' = St.w0 s !slot
+            and w1' = St.w1 s !slot and v' = St.value s !slot in
+            St.set_tag s !slot !tag;
+            St.set_hash s !slot !h;
+            St.set_words s !slot ~w0:!w0 ~w1:!w1;
+            St.set_value s !slot !v;
+            tag := resident;
+            h := h';
+            w0 := w0';
+            w1 := w1';
+            v := v';
+            dist := resident_dist
+          end;
+          slot := (!slot + 1) land St.mask s;
+          incr dist
+        end
+      done;
+      r.count <- r.count + 1
+
+    (* Backward-shift deletion of the entry at [slot]: pull each
+       displaced successor one slot towards its home until a slot is
+       empty or home (distance 0), so no tombstone is left behind. *)
+    let delete r slot =
+      let s = r.store in
+      let i = ref slot in
+      let continue = ref true in
+      while !continue do
+        let next = (!i + 1) land St.mask s in
+        if St.tag s next = 0 || distance s next = 0 then begin
+          St.set_tag s !i 0;
+          St.set_value s !i 0;
+          continue := false
+        end
+        else begin
+          St.set_tag s !i (St.tag s next);
+          St.set_hash s !i (St.hash s next);
+          St.set_words s !i ~w0:(St.w0 s next) ~w1:(St.w1 s next);
+          St.set_value s !i (St.value s next);
+          i := next
+        end
+      done;
+      r.count <- r.count - 1
+
+    let iter_live f s =
+      for slot = 0 to St.mask s do
+        let tag = St.tag s slot in
+        if tag <> 0 && tag <> dead_tag then f s slot
+      done
+
+    (* A fresh region with [r]'s entries and room for [room] more: the
+       stop-the-world rebuild, at the smallest power of two of at least
+       twice [r]'s capacity that keeps the result under 7/8 load. *)
+    let regrown r ~room =
+      let s = r.store in
+      let fresh =
+        create
+          ~capacity:(capacity_for (St.capacity s * 2) (r.count + room))
+      in
+      iter_live
+        (fun s slot ->
+          insert fresh ~hash:(St.hash s slot) ~w0:(St.w0 s slot)
+            ~w1:(St.w1 s slot) (St.value s slot))
+        s;
+      fresh
+
+    (* Copy-on-write bind: [r] is left untouched. *)
+    let bound r ~hash ~w0 ~w1 v =
+      let slot = slot r ~hash ~w0 ~w1 in
+      if slot >= 0 then begin
+        let fresh = copy r in
+        St.set_value fresh.store slot v;
+        fresh
+      end
+      else begin
+        let fresh =
+          if (r.count + 1) * 8 > St.capacity r.store * 7 then regrown r ~room:1
+          else copy r
+        in
+        insert fresh ~hash ~w0 ~w1 v;
+        fresh
+      end
+
+    let iter f r =
+      iter_live
+        (fun s slot ->
+          f ~w0:(St.w0 s slot) ~w1:(St.w1 s slot) (St.value s slot))
+        r.store
+  end
 
   let create ?(hash = default_hash) ?(initial_capacity = min_capacity)
-      ?(resize = Flat_table.Incremental) () =
+      ?(resize = Incremental) () =
     if initial_capacity < 0 then
       invalid_arg "Packed_table.create: initial_capacity < 0";
     let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
-    { cur = make_region cap;
+    { cur = Region.create ~capacity:cap;
       old = None;
       migrate_pos = 0;
       resizes = 0;
@@ -84,120 +306,46 @@ module Make (St : Storage.S) : S = struct
   let resize_policy t = t.resize
   let resizes t = t.resizes
   let pending_migration t = match t.old with Some o -> o.count | None -> 0
+  let live t = t.cur
 
   let bytes t =
     St.bytes t.cur.store
     + (match t.old with Some o -> St.bytes o.store | None -> 0)
 
-  let tag_of_hash h =
-    let tag = (h lsr 16) land 0xFF in
-    if tag = 0 || tag = dead_tag then 1 else tag
-
-  let[@inline] distance s slot = (slot - (St.hash s slot land St.mask s)) land St.mask s
-
-  let rec probe s tag w0 w1 slot dist =
-    let resident = St.tag s slot in
-    if resident = 0 then -1
-    else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then slot
-    else if distance s slot < dist then -1
-    else probe s tag w0 w1 ((slot + 1) land St.mask s) (dist + 1)
-
-  let region_slot s h tag w0 w1 = probe s tag w0 w1 (h land St.mask s) 0
-
   let find t ~w0 ~w1 =
-    let h = t.hash w0 w1 in
-    let tag = tag_of_hash h in
-    let slot = region_slot t.cur.store h tag w0 w1 in
+    let hash = t.hash w0 w1 in
+    let slot = Region.slot t.cur ~hash ~w0 ~w1 in
     if slot >= 0 then St.value t.cur.store slot
     else
       match t.old with
       | None -> raise Not_found
       | Some o ->
-        let slot = region_slot o.store h tag w0 w1 in
+        let slot = Region.slot o ~hash ~w0 ~w1 in
         if slot >= 0 then St.value o.store slot else raise Not_found
 
   let find_opt t ~w0 ~w1 =
     match find t ~w0 ~w1 with v -> Some v | exception Not_found -> None
 
   let mem t ~w0 ~w1 =
-    let h = t.hash w0 w1 in
-    let tag = tag_of_hash h in
-    region_slot t.cur.store h tag w0 w1 >= 0
+    let hash = t.hash w0 w1 in
+    Region.slot t.cur ~hash ~w0 ~w1 >= 0
     || (match t.old with
        | None -> false
-       | Some o -> region_slot o.store h tag w0 w1 >= 0)
-
-  let insert_fresh r h w0 w1 v =
-    let s = r.store in
-    let tag = ref (tag_of_hash h) in
-    let h = ref h and w0 = ref w0 and w1 = ref w1 and v = ref v in
-    let slot = ref (!h land St.mask s) in
-    let dist = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let resident = St.tag s !slot in
-      if resident = 0 then begin
-        St.set_tag s !slot !tag;
-        St.set_hash s !slot !h;
-        St.set_words s !slot ~w0:!w0 ~w1:!w1;
-        St.set_value s !slot !v;
-        continue := false
-      end
-      else begin
-        let resident_dist = distance s !slot in
-        if resident_dist < !dist then begin
-          let h' = St.hash s !slot and w0' = St.w0 s !slot
-          and w1' = St.w1 s !slot in
-          let v' = St.value s !slot in
-          St.set_tag s !slot !tag;
-          St.set_hash s !slot !h;
-          St.set_words s !slot ~w0:!w0 ~w1:!w1;
-          St.set_value s !slot !v;
-          tag := tag_of_hash h';
-          h := h';
-          w0 := w0';
-          w1 := w1';
-          v := v';
-          dist := resident_dist
-        end;
-        slot := (!slot + 1) land St.mask s;
-        incr dist
-      end
-    done;
-    r.count <- r.count + 1
-
-  let backshift_remove r slot =
-    let s = r.store in
-    let i = ref slot in
-    let continue = ref true in
-    while !continue do
-      let next = (!i + 1) land St.mask s in
-      if St.tag s next = 0 || distance s next = 0 then begin
-        St.set_tag s !i 0;
-        St.set_value s !i 0;
-        continue := false
-      end
-      else begin
-        St.set_tag s !i (St.tag s next);
-        St.set_hash s !i (St.hash s next);
-        St.set_words s !i ~w0:(St.w0 s next) ~w1:(St.w1 s next);
-        St.set_value s !i (St.value s next);
-        i := next
-      end
-    done;
-    r.count <- r.count - 1
+       | Some o -> Region.slot o ~hash ~w0 ~w1 >= 0)
 
   let finish_drain t =
     (match t.old with Some o -> St.free o.store | None -> ());
     t.old <- None;
     t.migrate_pos <- 0
 
-  (* Dead-mark an old-region slot.  The accounting guard is the ISSUE 8
-     satellite fix: both callers check the slot is live before calling,
-     but if any future path double-kills (e.g. an eviction racing a
-     remove through a wrapper), [o.count] going negative would make
-     [pending_migration] negative and the drain's [o.count = 0]
-     termination test unreachable — fail loudly instead. *)
+  (* Mark an old-region slot dead: O(1), no displacement run.  The
+     stored hash stays behind for probe-distance arithmetic.  The guard
+     keeps [pending_migration] (= [o.count]) from ever going negative:
+     both callers probe for a live slot first, but a double dead-mark —
+     say an eviction driven through a wrapper racing a plain remove to
+     the same old-region slot — would make the drain's [o.count = 0]
+     termination test unreachable and wedge the resize forever; fail
+     loudly instead. *)
   let kill_slot o slot =
     if o.count <= 0 || St.tag o.store slot = 0 || St.tag o.store slot = dead_tag
     then
@@ -208,6 +356,10 @@ module Make (St : Storage.S) : S = struct
     St.set_value o.store slot 0;
     o.count <- o.count - 1
 
+  (* One bounded drain step.  The old region's layout is frozen —
+     migration marks slots dead instead of backshifting — so the cursor
+     sweeps each slot exactly once and never wraps: every live entry
+     sits where it sat when the drain began. *)
   let migrate t =
     match t.old with
     | None -> ()
@@ -225,11 +377,11 @@ module Make (St : Storage.S) : S = struct
         let tag = St.tag s p in
         if tag = 0 || tag = dead_tag then t.migrate_pos <- t.migrate_pos + 1
         else begin
-          let h = St.hash s p and w0 = St.w0 s p and w1 = St.w1 s p in
+          let hash = St.hash s p and w0 = St.w0 s p and w1 = St.w1 s p in
           let v = St.value s p in
           kill_slot o p;
           t.migrate_pos <- t.migrate_pos + 1;
-          insert_fresh t.cur h w0 w1 v;
+          Region.insert t.cur ~hash ~w0 ~w1 v;
           incr moved
         end;
         if o.count = 0 then finished := true
@@ -246,71 +398,80 @@ module Make (St : Storage.S) : S = struct
   let begin_grow t =
     t.resizes <- t.resizes + 1;
     match t.resize with
-    | Flat_table.Doubling ->
-      let old = t.cur in
-      let s = old.store in
-      t.cur <- make_region (St.capacity s * 2);
-      for slot = 0 to St.mask s do
-        if St.tag s slot <> 0 then
-          insert_fresh t.cur (St.hash s slot) (St.w0 s slot) (St.w1 s slot)
-            (St.value s slot)
-      done;
-      St.free s
-    | Flat_table.Incremental ->
+    | Doubling ->
+      let full = t.cur.store in
+      t.cur <- Region.regrown t.cur ~room:0;
+      St.free full
+    | Incremental ->
+      (* Unreachable in practice while the budget maths in the header
+         holds; kept so a future budget tweak degrades to a full drain
+         instead of stacking a third region. *)
       drain_old t;
       t.old <- Some t.cur;
       t.migrate_pos <- 0;
-      t.cur <- make_region (St.capacity t.cur.store * 2)
+      t.cur <- Region.create ~capacity:(St.capacity t.cur.store * 2)
 
-  let replace t ~w0 ~w1 v =
-    if t.resize = Flat_table.Incremental then migrate t;
-    let h = t.hash w0 w1 in
-    let tag = tag_of_hash h in
-    let slot = region_slot t.cur.store h tag w0 w1 in
-    if slot >= 0 then St.set_value t.cur.store slot v
-    else begin
+  (* Bind the key to [v] if absent; if present, overwrite its value when
+     [overwrite] holds.  Returns the value bound afterwards.  One probe
+     per region either way. *)
+  let settle r slot ~overwrite v =
+    if overwrite then begin
+      St.set_value r.store slot v;
+      v
+    end
+    else St.value r.store slot
+
+  let bind t ~overwrite ~w0 ~w1 v =
+    if t.resize = Incremental then migrate t;
+    let hash = t.hash w0 w1 in
+    let slot = Region.slot t.cur ~hash ~w0 ~w1 in
+    if slot >= 0 then settle t.cur slot ~overwrite v
+    else
       let old_slot =
         match t.old with
         | None -> -1
-        | Some o -> region_slot o.store h tag w0 w1
+        | Some o -> Region.slot o ~hash ~w0 ~w1
       in
-      if old_slot >= 0 then
-        (match t.old with
-        | Some o -> St.set_value o.store old_slot v
-        | None -> assert false)
-      else begin
+      match t.old with
+      | Some o when old_slot >= 0 -> settle o old_slot ~overwrite v
+      | Some _ | None ->
+        (* Grow at 7/8 load of the live region. *)
         if (length t + 1) * 8 > St.capacity t.cur.store * 7 then begin_grow t;
-        insert_fresh t.cur h w0 w1 v
-      end
-    end
+        Region.insert t.cur ~hash ~w0 ~w1 v;
+        v
 
-  let remove t ~w0 ~w1 =
-    if t.resize = Flat_table.Incremental then migrate t;
-    let h = t.hash w0 w1 in
-    let tag = tag_of_hash h in
-    let slot = region_slot t.cur.store h tag w0 w1 in
-    if slot >= 0 then backshift_remove t.cur slot
+  let replace t ~w0 ~w1 v = ignore (bind t ~overwrite:true ~w0 ~w1 v)
+  let add t ~w0 ~w1 v = bind t ~overwrite:false ~w0 ~w1 v
+
+  let take t ~w0 ~w1 ~default =
+    if t.resize = Incremental then migrate t;
+    let hash = t.hash w0 w1 in
+    let slot = Region.slot t.cur ~hash ~w0 ~w1 in
+    if slot >= 0 then begin
+      let v = St.value t.cur.store slot in
+      Region.delete t.cur slot;
+      v
+    end
     else
       match t.old with
-      | None -> ()
+      | None -> default
       | Some o ->
-        let slot = region_slot o.store h tag w0 w1 in
-        if slot >= 0 then begin
+        let slot = Region.slot o ~hash ~w0 ~w1 in
+        if slot < 0 then default
+        else begin
+          (* Dead-mark, don't backshift: the frozen layout is what keeps
+             old-region probes and the drain cursor correct. *)
+          let v = St.value o.store slot in
           kill_slot o slot;
-          if o.count = 0 then finish_drain t
+          if o.count = 0 then finish_drain t;
+          v
         end
 
-  let iter_region f r =
-    let s = r.store in
-    for slot = 0 to St.mask s do
-      let tag = St.tag s slot in
-      if tag <> 0 && tag <> dead_tag then
-        f ~w0:(St.w0 s slot) ~w1:(St.w1 s slot) (St.value s slot)
-    done
+  let remove t ~w0 ~w1 = ignore (take t ~w0 ~w1 ~default:0)
 
   let iter f t =
-    iter_region f t.cur;
-    match t.old with None -> () | Some o -> iter_region f o
+    Region.iter f t.cur;
+    match t.old with None -> () | Some o -> Region.iter f o
 
   let fold f t init =
     let acc = ref init in
@@ -320,9 +481,7 @@ module Make (St : Storage.S) : S = struct
   let clear t =
     St.reset t.cur.store;
     t.cur.count <- 0;
-    (match t.old with Some o -> St.free o.store | None -> ());
-    t.old <- None;
-    t.migrate_pos <- 0
+    finish_drain t
 
   (* Slots a [find] of this key inspects (terminating slot included),
      across both regions — the flat side of E35's probe accounting. *)
@@ -335,7 +494,7 @@ module Make (St : Storage.S) : S = struct
         if resident = 0 then (n + 1, false)
         else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then
           (n + 1, true)
-        else if distance s slot < dist then (n + 1, false)
+        else if Region.distance s slot < dist then (n + 1, false)
         else go ((slot + 1) land St.mask s) (dist + 1) (n + 1)
       in
       go (h land St.mask s) 0 0
@@ -347,17 +506,14 @@ module Make (St : Storage.S) : S = struct
       | None -> n
       | Some o -> n + fst (region_probes o.store)
 
+  (* Longest probe distance currently in the table — exposed for tests
+     and diagnostics (Robin Hood keeps this small and low-variance). *)
   let max_probe_length t =
     let worst = ref 0 in
     let scan r =
-      let s = r.store in
-      for slot = 0 to St.mask s do
-        let tag = St.tag s slot in
-        if tag <> 0 && tag <> dead_tag then begin
-          let d = distance s slot in
-          if d > !worst then worst := d
-        end
-      done
+      Region.iter_live
+        (fun s slot -> worst := max !worst (Region.distance s slot))
+        r.store
     in
     scan t.cur;
     (match t.old with None -> () | Some o -> scan o);

@@ -5,7 +5,7 @@ type 'a entry = { node : 'a Chain.node; home : int }
 type 'a t = {
   mutable chains : 'a Chain.t array;
   hasher : Hashing.Hashers.t;
-  mutable index : 'a entry Flat_table.t;
+  mutable index : 'a entry Handle_table.t;
   stats : Lookup_stats.t;
   mutable next_id : int;
   mutable population : int;
@@ -18,7 +18,7 @@ let create ?(initial_buckets = 16) ?(hasher = Hashing.Hashers.multiplicative)
   if initial_buckets <= 0 then
     invalid_arg "Resizing_hash.create: initial_buckets <= 0";
   { chains = Array.init initial_buckets (fun _ -> Chain.create ()); hasher;
-    index = Flat_table.create ~initial_capacity:64 ();
+    index = Handle_table.create ~initial_capacity:64 ();
     stats = Lookup_stats.create (); next_id = 0; population = 0 }
 
 let buckets t = Array.length t.chains
@@ -30,7 +30,7 @@ let bucket_index t flow =
 let grow t =
   let old = t.chains in
   t.chains <- Array.init (2 * Array.length old) (fun _ -> Chain.create ());
-  t.index <- Flat_table.create ~initial_capacity:(2 * t.population) ();
+  t.index <- Handle_table.create ~initial_capacity:(2 * t.population) ();
   Array.iter
     (fun chain ->
       Chain.iter
@@ -38,32 +38,32 @@ let grow t =
           let flow = pcb.Pcb.flow in
           let home = bucket_index t flow in
           let node = Chain.push_front t.chains.(home) pcb in
-          Flat_table.replace t.index ~w0:(Flow_key.w0_of_flow flow)
+          Handle_table.replace t.index ~w0:(Flow_key.w0_of_flow flow)
             ~w1:(Flow_key.w1_of_flow flow) { node; home })
         chain)
     old
 
 let insert t flow data =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  if Flat_table.mem t.index ~w0 ~w1 then
+  if Handle_table.mem t.index ~w0 ~w1 then
     invalid_arg "Resizing_hash.insert: duplicate flow";
   if t.population >= Array.length t.chains then grow t;
   let pcb = Pcb.make ~id:t.next_id ~flow data in
   t.next_id <- t.next_id + 1;
   let home = bucket_index t flow in
   let node = Chain.push_front t.chains.(home) pcb in
-  Flat_table.replace t.index ~w0 ~w1 { node; home };
+  Handle_table.replace t.index ~w0 ~w1 { node; home };
   t.population <- t.population + 1;
   Lookup_stats.note_insert t.stats;
   pcb
 
 let remove t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  match Flat_table.find_opt t.index ~w0 ~w1 with
-  | None -> None
-  | Some { node; home } ->
+  match Handle_table.find t.index ~w0 ~w1 with
+  | exception Not_found -> None
+  | { node; home } ->
     Chain.remove t.chains.(home) node;
-    Flat_table.remove t.index ~w0 ~w1;
+    Handle_table.remove t.index ~w0 ~w1;
     t.population <- t.population - 1;
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
@@ -82,11 +82,11 @@ let lookup t ?kind:_ flow =
 
 let note_send t flow =
   match
-    Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
+    Handle_table.find t.index ~w0:(Flow_key.w0_of_flow flow)
       ~w1:(Flow_key.w1_of_flow flow)
   with
-  | Some { node; _ } -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
+  | { node; _ } -> Pcb.note_tx (Chain.pcb node)
+  | exception Not_found -> ()
 
 let stats t = t.stats
 let length t = t.population

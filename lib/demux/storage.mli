@@ -3,10 +3,10 @@
     A {!S} value is the raw storage of one open-addressing region:
     per-slot tag bytes, stored hashes, the two packed {!Flow_key}
     words, and one integer value lane — the struct-of-arrays layout
-    {!Flat_table} probes, factored out so the {e same} table machinery
-    ({!Packed_table}) can run over two physical layouts:
+    the flat table probes, factored out so the one table engine
+    ({!Packed_table}) runs over two physical layouts:
 
-    - {!Heap}: [Bytes] + [int array], the original layout.  The arrays
+    - {!Heap}: [Bytes] + [int array].  The arrays
       live on the OCaml heap, so at millions of flows every major GC
       cycle re-marks tens of millions of words that can never be
       collected.

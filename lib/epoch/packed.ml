@@ -1,18 +1,21 @@
-(* Epoch.Table's copy-on-write protocol over Demux.Storage regions.
-   See table.ml for the concurrency argument (immutable published
-   regions, one writer mutex, retire-then-reclaim); the delta here is
-   that a region is a Storage.S buffer of bare-int lanes, so:
+(* The copy-on-write flow table over Demux.Packed_table regions.  See
+   packed.mli for the protocol; the concurrency argument is:
 
-   - the Offheap instance keeps all published flow state out of the
-     OCaml heap (the GC marks five custom-block headers per region,
-     not capacity*4 words), and
+   - a published region is immutable until retired: the writer only
+     ever mutates a private copy ([Region.copy] / [Region.regrown]),
+     then publishes it with one atomic store;
+   - readers pin their epoch slot before the atomic load of the
+     published pointer and unpin after the probe, so Core never
+     reclaims a region a pinned reader may still hold;
    - the retire closure ends with [St.free], which scrubs AND severs
      the buffers — off-heap memory is handed back to the allocator at
-     reclaim time rather than at some later major-GC sweep.  Readers
-     pinned before the publish can never observe the free: reclaim
+     reclaim time rather than at some later major-GC sweep.  Reclaim
      only runs the closure once every reader slot has advanced past
-     the retirement epoch (Core's safety invariant, qcheck-verified
-     in test_epoch.ml). *)
+     the retirement epoch (Core's safety invariant, qcheck-verified in
+     test_epoch.ml).
+
+   Probing, insertion, deletion and growth are Packed_table's region
+   primitives: this file owns only the publication protocol. *)
 
 module type S = sig
   type t
@@ -31,9 +34,17 @@ module type S = sig
   val lookup_batch_keyed : t -> Packet.Flow.t array -> hashes:int array -> int
   val length : t -> int
   val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
+
+  type view
+
+  val pin : t -> view
+  val view_find : view -> w0:int -> w1:int -> int option
+  val view_length : view -> int
+  val unpin : t -> unit
   val replace : t -> w0:int -> w1:int -> int -> unit
   val remove : t -> w0:int -> w1:int -> unit
   val load : t -> (int * int * int) array -> unit
+  val core : t -> Core.t
   val reclaim : t -> int
   val quiesce : t -> unit
   val pending : t -> int
@@ -42,22 +53,17 @@ module type S = sig
   val capacity : t -> int
   val bytes : t -> int
   val lock_acquisitions : t -> int
+  val registry : ?initial_capacity:int -> unit -> 'a Demux.Registry.t
   val register_obs : ?prefix:string -> Obs.Registry.t -> t -> unit
 end
 
 let min_capacity = 8
-let scrub_tag = Demux.Storage.dead_tag
-
-let tag_of_hash h =
-  let tag = (h lsr 16) land 0xFF in
-  if tag = 0 || tag = scrub_tag then 1 else tag
 
 let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
 
 module Make (St : Demux.Storage.S) : S = struct
-  (* [count] is mutated only while the region is private to the
-     writer; once published the region is immutable until retired. *)
-  type region = { store : St.t; mutable count : int }
+  module P = Demux.Packed_table.Make (St)
+  module Region = P.Region
 
   type reader = {
     slot : Domain_slot.t;
@@ -66,7 +72,7 @@ module Make (St : Demux.Storage.S) : S = struct
 
   type t = {
     core : Core.t;
-    published : region Atomic.t;
+    published : P.region Atomic.t;
     writer : Mutex.t;
     mutable writer_locks : int;  (* guarded by [writer] *)
     readers_lock : Mutex.t;
@@ -79,9 +85,6 @@ module Make (St : Demux.Storage.S) : S = struct
   }
 
   let backend = St.backend
-  let make_region cap = { store = St.create ~capacity:cap; count = 0 }
-
-  let copy_region r = { store = St.copy r.store; count = r.count }
 
   let create ?(hash = Demux.Flow_key.hash_words)
       ?(initial_capacity = min_capacity) ?max_readers () =
@@ -89,7 +92,7 @@ module Make (St : Demux.Storage.S) : S = struct
       invalid_arg "Epoch.Packed.create: initial_capacity < 0";
     let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
     { core = Core.create ?max_readers ();
-      published = Atomic.make (make_region cap);
+      published = Atomic.make (Region.create ~capacity:cap);
       writer = Mutex.create ();
       writer_locks = 0;
       readers_lock = Mutex.create ();
@@ -100,6 +103,8 @@ module Make (St : Demux.Storage.S) : S = struct
       hash;
       publish_count = 0 }
 
+  (* Per-reader-domain state: one epoch slot and one private
+     Lookup_stats, registered lazily on the domain's first lookup. *)
   let reader_of t =
     match Domain.DLS.get t.reader_key with
     | Some reader -> reader
@@ -113,62 +118,45 @@ module Make (St : Demux.Storage.S) : S = struct
       Domain.DLS.set t.reader_key (Some reader);
       reader
 
-  (* {1 Probing} *)
-
-  let[@inline] distance s slot =
-    (slot - (St.hash s slot land St.mask s)) land St.mask s
-
-  let rec probe s tag w0 w1 slot dist =
-    let resident = St.tag s slot in
-    if resident = 0 then -1
-    else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then slot
-    else if distance s slot < dist then -1
-    else probe s tag w0 w1 ((slot + 1) land St.mask s) (dist + 1)
+  let slot_in t (r : P.region) ~w0 ~w1 =
+    Region.slot r ~hash:(t.hash w0 w1) ~w0 ~w1
 
   (* {1 Read path} *)
 
-  let get t ~w0 ~w1 ~default =
-    let reader = reader_of t in
+  (* Open and close the pinned section around one [get]/[mem]/[find_opt]
+     probe; no closures, so the warm read path allocates nothing. *)
+  let pin_published t reader =
     Demux.Lookup_stats.begin_lookup reader.stats;
     Demux.Lookup_stats.examine reader.stats ();
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    let result = if slot < 0 then default else St.value s slot in
+    Atomic.get t.published
+
+  let finish_lookup reader slot =
     Domain_slot.unpin reader.slot;
     Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
-      ~found:(slot >= 0);
+      ~found:(slot >= 0)
+
+  let get t ~w0 ~w1 ~default =
+    let reader = reader_of t in
+    let r = pin_published t reader in
+    let slot = slot_in t r ~w0 ~w1 in
+    let result = if slot < 0 then default else St.value r.P.store slot in
+    finish_lookup reader slot;
     result
 
   let mem t ~w0 ~w1 =
     let reader = reader_of t in
-    Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
-    Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    Domain_slot.unpin reader.slot;
-    Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
-      ~found:(slot >= 0);
+    let r = pin_published t reader in
+    let slot = slot_in t r ~w0 ~w1 in
+    finish_lookup reader slot;
     slot >= 0
 
   let find_opt t ~w0 ~w1 =
     let reader = reader_of t in
-    Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
-    Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    let result = if slot < 0 then None else Some (St.value s slot) in
-    Domain_slot.unpin reader.slot;
-    Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
-      ~found:(slot >= 0);
+    let r = pin_published t reader in
+    let slot = slot_in t r ~w0 ~w1 in
+    let result = if slot < 0 then None else Some (St.value r.P.store slot) in
+    finish_lookup reader slot;
     result
 
   let find_flow t flow =
@@ -184,17 +172,14 @@ module Make (St : Demux.Storage.S) : S = struct
       Demux.Lookup_stats.note_batch reader.stats ~size:n;
       Domain_slot.pin reader.slot ~global:(Core.global t.core);
       let r = Atomic.get t.published in
-      let s = r.store in
       let found = ref 0 in
       for i = 0 to n - 1 do
         let flow = flows.(i) in
         let w0 = Demux.Flow_key.w0_of_flow flow in
         let w1 = Demux.Flow_key.w1_of_flow flow in
-        let h = hash_at t i w0 w1 in
         Demux.Lookup_stats.begin_lookup reader.stats;
         Demux.Lookup_stats.examine reader.stats ();
-        let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-        let hit = slot >= 0 in
+        let hit = Region.slot r ~hash:(hash_at t i w0 w1) ~w0 ~w1 >= 0 in
         if hit then incr found;
         Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false ~found:hit
       done;
@@ -211,83 +196,30 @@ module Make (St : Demux.Storage.S) : S = struct
     lookup_batch_hashed t flows
       ~hash_at:(fun _ i _ _ -> Array.unsafe_get hashes i)
 
-  let length t = (Atomic.get t.published).count
+  let length t = (Atomic.get t.published).P.count
 
   let iter f t =
     let reader = reader_of t in
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    for slot = 0 to St.mask s do
-      let tag = St.tag s slot in
-      if tag <> 0 && tag <> scrub_tag then
-        f ~w0:(St.w0 s slot) ~w1:(St.w1 s slot) (St.value s slot)
-    done;
+    Region.iter f (Atomic.get t.published);
     Domain_slot.unpin reader.slot
 
-  (* {1 Private-region mutation (pre-publish)} *)
+  (* {1 Pinned views} *)
 
-  let rec place r slot dist h tag w0 w1 v =
-    let s = r.store in
-    let resident = St.tag s slot in
-    if resident = 0 then begin
-      St.set_tag s slot tag;
-      St.set_hash s slot h;
-      St.set_words s slot ~w0 ~w1;
-      St.set_value s slot v;
-      r.count <- r.count + 1
-    end
-    else begin
-      let rdist = distance s slot in
-      if rdist < dist then begin
-        let h' = St.hash s slot
-        and tag' = resident
-        and w0' = St.w0 s slot
-        and w1' = St.w1 s slot
-        and v' = St.value s slot in
-        St.set_tag s slot tag;
-        St.set_hash s slot h;
-        St.set_words s slot ~w0 ~w1;
-        St.set_value s slot v;
-        place r ((slot + 1) land St.mask s) (rdist + 1) h' tag' w0' w1' v'
-      end
-      else place r ((slot + 1) land St.mask s) (dist + 1) h tag w0 w1 v
-    end
+  type view = { region : P.region; view_hash : int -> int -> int }
 
-  let insert_fresh r h w0 w1 v =
-    place r (h land St.mask r.store) 0 h (tag_of_hash h) w0 w1 v
+  let pin t =
+    let reader = reader_of t in
+    Domain_slot.pin reader.slot ~global:(Core.global t.core);
+    { region = Atomic.get t.published; view_hash = t.hash }
 
-  let rec backshift s slot =
-    let next = (slot + 1) land St.mask s in
-    let next_tag = St.tag s next in
-    if next_tag = 0 || distance s next = 0 then begin
-      St.set_tag s slot 0;
-      St.set_hash s slot 0;
-      St.set_words s slot ~w0:0 ~w1:0;
-      St.set_value s slot 0
-    end
-    else begin
-      St.set_tag s slot next_tag;
-      St.set_hash s slot (St.hash s next);
-      St.set_words s slot ~w0:(St.w0 s next) ~w1:(St.w1 s next);
-      St.set_value s slot (St.value s next);
-      backshift s next
-    end
+  let view_find view ~w0 ~w1 =
+    let r = view.region in
+    let slot = Region.slot r ~hash:(view.view_hash w0 w1) ~w0 ~w1 in
+    if slot < 0 then None else Some (St.value r.P.store slot)
 
-  let needs_growth r extra = (r.count + extra) * 8 > St.capacity r.store * 7
-
-  let rec grown_capacity cap count =
-    if count * 8 > cap * 7 then grown_capacity (cap * 2) count else cap
-
-  let rebuild r ~capacity =
-    let fresh = make_region capacity in
-    let s = r.store in
-    for slot = 0 to St.mask s do
-      if St.tag s slot <> 0 then
-        insert_fresh fresh (St.hash s slot) (St.w0 s slot) (St.w1 s slot)
-          (St.value s slot)
-    done;
-    fresh
+  let view_length view = view.region.P.count
+  let unpin t = Domain_slot.unpin (reader_of t).slot
 
   (* {1 Write path} *)
 
@@ -296,76 +228,53 @@ module Make (St : Demux.Storage.S) : S = struct
     t.writer_locks <- t.writer_locks + 1;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
 
-  let publish t fresh old =
+  let publish t fresh (old : P.region) =
     Atomic.set t.published fresh;
     t.publish_count <- t.publish_count + 1;
-    (* Scrub + sever: once every reader has moved past the retirement
-       epoch, the region's buffers lose their last reference inside
-       the closure, so off-heap payloads are released by the eager
-       free, not by a later GC sweep of the region arrays. *)
-    Core.retire t.core (fun () -> St.free old.store);
+    (* Scrub + sever once every reader has moved past the retirement
+       epoch: off-heap payloads are released by the eager free, not
+       by a later GC sweep of the region arrays. *)
+    Core.retire t.core (fun () -> St.free old.P.store);
+    (* Opportunistic: writes are the rare path, so they pay for
+       reclamation; anything still pinned stays on the list. *)
     ignore (Core.reclaim t.core)
 
   let replace t ~w0 ~w1 v =
     with_writer t @@ fun () ->
     let cur = Atomic.get t.published in
-    let s = cur.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    let fresh =
-      if slot >= 0 then begin
-        let fresh = copy_region cur in
-        St.set_value fresh.store slot v;
-        fresh
-      end
-      else begin
-        let fresh =
-          if needs_growth cur 1 then
-            rebuild cur
-              ~capacity:(grown_capacity (St.capacity s * 2) (cur.count + 1))
-          else copy_region cur
-        in
-        insert_fresh fresh h w0 w1 v;
-        Demux.Lookup_stats.note_insert t.writer_stats;
-        fresh
-      end
-    in
+    let fresh = Region.bound cur ~hash:(t.hash w0 w1) ~w0 ~w1 v in
+    if fresh.P.count > cur.P.count then
+      Demux.Lookup_stats.note_insert t.writer_stats;
     publish t fresh cur
 
   let remove t ~w0 ~w1 =
     with_writer t @@ fun () ->
     let cur = Atomic.get t.published in
-    let s = cur.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
+    let slot = slot_in t cur ~w0 ~w1 in
     if slot >= 0 then begin
-      let fresh = copy_region cur in
-      backshift fresh.store slot;
-      fresh.count <- fresh.count - 1;
+      let fresh = Region.copy cur in
+      Region.delete fresh slot;
       Demux.Lookup_stats.note_remove t.writer_stats;
       publish t fresh cur
     end
 
   let load t entries =
-    if Array.length entries > 0 then
+    let n = Array.length entries in
+    if n > 0 then
       with_writer t @@ fun () ->
       let cur = Atomic.get t.published in
       let fresh =
-        if needs_growth cur (Array.length entries) then
-          rebuild cur
-            ~capacity:
-              (grown_capacity (St.capacity cur.store)
-                 (cur.count + Array.length entries))
-        else copy_region cur
+        if (cur.P.count + n) * 8 > St.capacity cur.P.store * 7 then
+          Region.regrown cur ~room:n
+        else Region.copy cur
       in
       Array.iter
         (fun (w0, w1, v) ->
-          let s = fresh.store in
-          let h = t.hash w0 w1 in
-          let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-          if slot >= 0 then St.set_value s slot v
+          let hash = t.hash w0 w1 in
+          let slot = Region.slot fresh ~hash ~w0 ~w1 in
+          if slot >= 0 then St.set_value fresh.P.store slot v
           else begin
-            insert_fresh fresh h w0 w1 v;
+            Region.insert fresh ~hash ~w0 ~w1 v;
             Demux.Lookup_stats.note_insert t.writer_stats
           end)
         entries;
@@ -373,6 +282,7 @@ module Make (St : Demux.Storage.S) : S = struct
 
   (* {1 Reclamation passthroughs} *)
 
+  let core t = t.core
   let reclaim t = Core.reclaim t.core
   let quiesce t = Core.quiesce t.core
   let pending t = Core.pending t.core
@@ -389,9 +299,60 @@ module Make (St : Demux.Storage.S) : S = struct
       :: List.map (fun r -> Demux.Lookup_stats.snapshot r.stats) readers)
 
   let publishes t = t.publish_count
-  let capacity t = St.capacity (Atomic.get t.published).store
-  let bytes t = St.bytes (Atomic.get t.published).store
+  let capacity t = St.capacity (Atomic.get t.published).P.store
+  let bytes t = St.bytes (Atomic.get t.published).P.store
   let lock_acquisitions t = t.writer_locks + t.reader_locks
+
+  let registry ?initial_capacity () =
+    let table = create ?initial_capacity () in
+    let pcbs = Demux.Handle_table.Slots.create () in
+    let stats = Demux.Lookup_stats.create () in
+    let next_id = ref 0 in
+    let words flow =
+      (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
+    in
+    let handle flow =
+      let w0, w1 = words flow in
+      get table ~w0 ~w1 ~default:(-1)
+    in
+    { Demux.Registry.name = "epoch-table";
+      insert =
+        (fun flow v ->
+          let w0, w1 = words flow in
+          if mem table ~w0 ~w1 then
+            invalid_arg "epoch-table.insert: duplicate flow";
+          let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
+          incr next_id;
+          let h = Demux.Handle_table.Slots.next pcbs in
+          Demux.Handle_table.Slots.claim pcbs pcb;
+          replace table ~w0 ~w1 h;
+          Demux.Lookup_stats.note_insert stats;
+          pcb);
+      remove =
+        (fun flow ->
+          match handle flow with
+          | -1 -> None
+          | h ->
+            let pcb = Demux.Handle_table.Slots.get pcbs h in
+            let w0, w1 = words flow in
+            remove table ~w0 ~w1;
+            Demux.Handle_table.Slots.release pcbs h;
+            Demux.Lookup_stats.note_remove stats;
+            Some pcb);
+      lookup =
+        (fun ?kind:_ flow ->
+          Demux.Lookup_stats.begin_lookup stats;
+          Demux.Lookup_stats.examine stats ();
+          let h = handle flow in
+          Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:(h >= 0);
+          if h < 0 then None else Some (Demux.Handle_table.Slots.get pcbs h));
+      note_send = (fun _ -> ());
+      stats;
+      length = (fun () -> length table);
+      iter =
+        (fun f ->
+          iter (fun ~w0:_ ~w1:_ h -> f (Demux.Handle_table.Slots.get pcbs h))
+            table) }
 
   let register_obs ?(prefix = "epoch.packed") obs t =
     Core.register_obs ~prefix obs t.core;

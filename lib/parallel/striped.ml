@@ -1,7 +1,7 @@
 type 'a stripe = {
   mutex : Mutex.t;
   chain : 'a Demux.Chain.t;
-  index : 'a Demux.Chain.node Demux.Flat_table.t;
+  index : 'a Demux.Chain.node Demux.Handle_table.t;
   mutable cache : 'a Demux.Chain.node option;
   stats : Demux.Lookup_stats.t;
 }
@@ -20,7 +20,7 @@ let create ?(chains = Demux.Sequent.default_chains)
   { stripes =
       Array.init chains (fun _ ->
           { mutex = Mutex.create (); chain = Demux.Chain.create ();
-            index = Demux.Flat_table.create ~initial_capacity:16 ();
+            index = Demux.Handle_table.create ~initial_capacity:16 ();
             cache = None;
             stats = Demux.Lookup_stats.create () });
     hasher; next_id = Atomic.make 0; population = Atomic.make 0; pressure }
@@ -49,7 +49,7 @@ let with_stripe stripe f =
 let insert_locked t stripe flow data =
   let w0 = Demux.Flow_key.w0_of_flow flow
   and w1 = Demux.Flow_key.w1_of_flow flow in
-  if Demux.Flat_table.mem stripe.index ~w0 ~w1 then
+  if Demux.Handle_table.mem stripe.index ~w0 ~w1 then
     invalid_arg "Striped.insert: duplicate flow";
   let id = Atomic.fetch_and_add t.next_id 1 in
   let pcb = Demux.Pcb.make ~id ~flow data in
@@ -60,7 +60,7 @@ let insert_locked t stripe flow data =
     match t.pressure with Some _ -> Obs.Clock.now_ns () | None -> 0
   in
   let node = Demux.Chain.push_front stripe.chain pcb in
-  Demux.Flat_table.replace stripe.index ~w0 ~w1 node;
+  Demux.Handle_table.replace stripe.index ~w0 ~w1 node;
   (match t.pressure with
   | Some p -> Pressure.note_insert_ns p (Obs.Clock.now_ns () - started)
   | None -> ());
@@ -82,7 +82,7 @@ let try_insert t flow data =
   with_stripe stripe (fun () ->
       let w0 = Demux.Flow_key.w0_of_flow flow
       and w1 = Demux.Flow_key.w1_of_flow flow in
-      if Demux.Flat_table.mem stripe.index ~w0 ~w1 then `Duplicate
+      if Demux.Handle_table.mem stripe.index ~w0 ~w1 then `Duplicate
       else
         match t.pressure with
         | Some p when not (Pressure.admits_new_flows p) ->
@@ -96,14 +96,14 @@ let remove t flow =
   let w0 = Demux.Flow_key.w0_of_flow flow
   and w1 = Demux.Flow_key.w1_of_flow flow in
   with_stripe stripe (fun () ->
-      match Demux.Flat_table.find_opt stripe.index ~w0 ~w1 with
-      | None -> None
-      | Some node ->
+      match Demux.Handle_table.find stripe.index ~w0 ~w1 with
+      | exception Not_found -> None
+      | node ->
         (match stripe.cache with
         | Some cached when cached == node -> stripe.cache <- None
         | Some _ | None -> ());
         Demux.Chain.remove stripe.chain node;
-        Demux.Flat_table.remove stripe.index ~w0 ~w1;
+        Demux.Handle_table.remove stripe.index ~w0 ~w1;
         Demux.Lookup_stats.note_remove stripe.stats;
         Atomic.decr t.population;
         Some (Demux.Chain.pcb node))
@@ -236,9 +236,9 @@ let note_send t flow =
   let w0 = Demux.Flow_key.w0_of_flow flow
   and w1 = Demux.Flow_key.w1_of_flow flow in
   with_stripe stripe (fun () ->
-      match Demux.Flat_table.find_opt stripe.index ~w0 ~w1 with
-      | Some node -> Demux.Pcb.note_tx (Demux.Chain.pcb node)
-      | None -> ())
+      match Demux.Handle_table.find stripe.index ~w0 ~w1 with
+      | node -> Demux.Pcb.note_tx (Demux.Chain.pcb node)
+      | exception Not_found -> ())
 
 let length t = Atomic.get t.population
 

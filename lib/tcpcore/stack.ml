@@ -16,6 +16,7 @@ type connection = {
       (* retransmission queue: (first sequence number, segment),
          oldest first *)
   mutable ack_pending : bool;
+  mutable time_wait : Timer_wheel.timer option;  (* the armed 2MSL timer *)
 }
 
 (* The stack-side view of pipeline overload.  Mirrors the tiers of the
@@ -67,7 +68,7 @@ and t = {
   delayed_ack_timeout : float;
   mutable overload_probe : unit -> overload_tier;
   wheel : timer_event Timer_wheel.t;
-  time_wait_timers : Timer_wheel.timer Demux.Flow_table.t;
+  mutable time_wait_armed : int;  (* connections holding a 2MSL timer *)
 }
 
 (* Sequence-number comparison with wraparound: a < b iff the signed
@@ -102,7 +103,7 @@ let create ?(demux =
     delayed_acks; delayed_ack_timeout;
     overload_probe = (fun () -> Normal);
     wheel = Timer_wheel.create ~tick:0.25 ();
-    time_wait_timers = Demux.Flow_table.create 16 }
+    time_wait_armed = 0 }
 
 let set_overload_probe t probe = t.overload_probe <- probe
 let set_on_established t hook = t.on_established <- hook
@@ -227,7 +228,7 @@ let connect t ~local_port ~remote =
   let conn =
     { flow; state = State.Syn_sent; snd_nxt = Int32.add iss 1l;
       rcv_nxt = 0l; snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false }
+      ack_pending = false; time_wait = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
   emit_reliable t conn ~flags:Packet.Tcp_header.flag_syn ~seq:iss
@@ -258,30 +259,33 @@ let close t conn =
     conn.snd_nxt <- Int32.add conn.snd_nxt 1l (* FIN occupies a sequence slot *);
     conn.state <- next
 
+(* Forget a connection's 2MSL timer, cancelling it on the wheel unless
+   it is the one firing. *)
+let clear_time_wait t conn ~cancel =
+  match conn.time_wait with
+  | Some timer ->
+    if cancel then ignore (Timer_wheel.cancel t.wheel timer);
+    conn.time_wait <- None;
+    t.time_wait_armed <- t.time_wait_armed - 1
+  | None -> ()
+
 let drop_connection t conn =
   Log.debug (fun m -> m "drop %s" (Packet.Flow.to_string conn.flow));
   conn.state <- State.Closed;
   conn.unacked <- [];
-  (match Demux.Flow_table.find_opt t.time_wait_timers conn.flow with
-  | Some timer ->
-    ignore (Timer_wheel.cancel t.wheel timer);
-    Demux.Flow_table.remove t.time_wait_timers conn.flow
-  | None -> ());
+  clear_time_wait t conn ~cancel:true;
   ignore (Conn_table.remove_connection t.table conn.flow)
 
 (* Arm the 2MSL timer the first time a connection is seen in
    TIME-WAIT; re-arming on retransmitted FINs is harmless but
-   wasteful, so membership is checked. *)
+   wasteful, so an armed timer is kept. *)
 let maybe_arm_time_wait t conn =
-  if
-    State.equal conn.state State.Time_wait
-    && not (Demux.Flow_table.mem t.time_wait_timers conn.flow)
-  then begin
-    let timer =
-      Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout
-        (Reap_time_wait conn)
-    in
-    Demux.Flow_table.replace t.time_wait_timers conn.flow timer
+  if State.equal conn.state State.Time_wait && conn.time_wait = None then begin
+    conn.time_wait <-
+      Some
+        (Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout
+           (Reap_time_wait conn));
+    t.time_wait_armed <- t.time_wait_armed + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -295,11 +299,7 @@ let extract_connection t flow =
   | None -> None
   | Some pcb ->
     let conn = pcb.Demux.Pcb.data in
-    (match Demux.Flow_table.find_opt t.time_wait_timers flow with
-    | Some timer ->
-      ignore (Timer_wheel.cancel t.wheel timer);
-      Demux.Flow_table.remove t.time_wait_timers flow
-    | None -> ());
+    clear_time_wait t conn ~cancel:true;
     (* Ship a fresh record and neutralize the original.  Pending wheel
        entries (RTO, delayed ack) still reference the original, and
        every timer path is a no-op on a Closed connection with an
@@ -309,7 +309,8 @@ let extract_connection t flow =
       { flow = conn.flow; state = conn.state; snd_nxt = conn.snd_nxt;
         rcv_nxt = conn.rcv_nxt; snd_una = conn.snd_una;
         bytes_in = conn.bytes_in; bytes_out = conn.bytes_out;
-        unacked = conn.unacked; ack_pending = conn.ack_pending }
+        unacked = conn.unacked; ack_pending = conn.ack_pending;
+        time_wait = None }
     in
     conn.state <- State.Closed;
     conn.unacked <- [];
@@ -383,7 +384,7 @@ let advance_clock t ~now =
     (fun actions (_, event) ->
       match event with
       | Reap_time_wait conn ->
-        Demux.Flow_table.remove t.time_wait_timers conn.flow;
+        clear_time_wait t conn ~cancel:false;
         if State.equal conn.state State.Time_wait then begin
           drop_connection t conn;
           actions + 1
@@ -400,7 +401,7 @@ let advance_clock t ~now =
         else actions)
     0 fired
 
-let pending_time_wait t = Demux.Flow_table.length t.time_wait_timers
+let pending_time_wait t = t.time_wait_armed
 
 let expire_time_wait t conn =
   match State.transition conn.state State.Time_wait_expired with
@@ -572,7 +573,7 @@ let accept t flow (tcp : Packet.Tcp_header.t) =
       snd_nxt = Int32.add iss 1l;
       rcv_nxt = Int32.add tcp.Packet.Tcp_header.seq 1l;
       snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false }
+      ack_pending = false; time_wait = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
   Log.debug (fun m -> m "accept %s" (Packet.Flow.to_string flow));

@@ -32,6 +32,10 @@ type connection = {
           segments (SYN, FIN, data) not yet covered by [snd_una]. *)
   mutable ack_pending : bool;
       (** A delayed acknowledgement is owed (see [delayed_acks]). *)
+  mutable time_wait : Timer_wheel.timer option;
+      (** The 2MSL timer, armed once the connection enters TIME-WAIT
+          and cleared when it fires or the connection is dropped or
+          extracted. *)
 }
 
 val create :

@@ -1,7 +1,7 @@
 (* Tests for lib/check: the differential oracle, the deterministic
    fuzzer and its shrinker, the pinned regression corpus, and the
    analytic cross-validation grid.  The centrepiece is the planted-bug
-   demonstration: a copy of Flat_table whose delete skips the
+   demonstration: the flat table with a delete that skips the
    Robin-Hood backward shift is caught by the fuzzer and shrunk to a
    replayable counterexample a handful of ops long. *)
 
@@ -44,7 +44,9 @@ let all_subjects () =
       (fun () -> Check.Subject.cuckoo_table ()) ]
 
 let buggy_subject () =
-  Check.Subject.of_flat ~name:"buggy-flat" (module Check.Buggy_table)
+  Check.Subject.of_index ~name:"buggy-flat"
+    (module Check.Buggy_table)
+    (Check.Buggy_table.create ())
 
 let op kind flow = { Check.Op.kind; flow }
 
@@ -195,7 +197,7 @@ let load_corpus name =
   | Error message -> Alcotest.fail (name ^ ": " ^ message)
 
 let test_corpus_robin_hood_is_a_cluster () =
-  (* The pinned program's five inserted flows share one Flat_table
+  (* The pinned program's five inserted flows share one flat-table
      home slot at the minimum capacity, so inserting them builds a
      displacement cluster — the precondition for backward-shift
      deletion to matter at all. *)
@@ -412,7 +414,7 @@ let test_guarded_eviction_during_resize () =
      set mid-migration. *)
   let config = Demux.Guarded.config ~max_chain:30 ~max_total:30 ~chains:4 () in
   let guard = Demux.Guarded.create config in
-  let table : int Demux.Flat_table.t = Demux.Flat_table.create () in
+  let table = Demux.Packed_table.Heap.create () in
   let words f =
     (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
   in
@@ -426,22 +428,22 @@ let test_guarded_eviction_during_resize () =
         (fun victim ->
           let w0, w1 = words victim in
           Alcotest.(check bool) "victim resident" true
-            (Demux.Flat_table.mem table ~w0 ~w1);
-          Demux.Flat_table.remove table ~w0 ~w1;
+            (Demux.Packed_table.Heap.mem table ~w0 ~w1);
+          Demux.Packed_table.Heap.remove table ~w0 ~w1;
           Demux.Guarded.note_removed guard victim;
           incr evictions;
-          if Demux.Flat_table.pending_migration table > 0 then
+          if Demux.Packed_table.Heap.pending_migration table > 0 then
             incr overlapped)
         victims;
       let w0, w1 = words f in
-      Demux.Flat_table.replace table ~w0 ~w1 i;
+      Demux.Packed_table.Heap.replace table ~w0 ~w1 i;
       Demux.Guarded.note_inserted guard f
   done;
   Alcotest.(check int) "population pinned at max_total" 30
-    (Demux.Flat_table.length table);
+    (Demux.Packed_table.Heap.length table);
   Alcotest.(check int) "one victim per over-limit insert" 15 !evictions;
   Alcotest.(check bool) "crossed several resize boundaries" true
-    (Demux.Flat_table.resizes table >= 3);
+    (Demux.Packed_table.Heap.resizes table >= 3);
   Alcotest.(check bool) "evictions landed mid-migration" true
     (!overlapped >= 1);
   (* Shadow-guard half: the oracle must predict the same eviction
@@ -616,21 +618,21 @@ let apply_epoch table (o : Check.Op.op) index =
   and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
   match o.Check.Op.kind with
   | Check.Op.Insert ->
-    Epoch.Table.replace table ~w0 ~w1 index;
+    Epoch.Packed.Heap.replace table ~w0 ~w1 index;
     Inserted
   | Check.Op.Remove ->
-    let prior = Epoch.Table.find_opt table ~w0 ~w1 in
-    Epoch.Table.remove table ~w0 ~w1;
+    let prior = Epoch.Packed.Heap.find_opt table ~w0 ~w1 in
+    Epoch.Packed.Heap.remove table ~w0 ~w1;
     Removed prior
   | Check.Op.Lookup | Check.Op.Ack_lookup | Check.Op.Send ->
-    Found (Epoch.Table.find_opt table ~w0 ~w1)
+    Found (Epoch.Packed.Heap.find_opt table ~w0 ~w1)
 
 let test_epoch_four_domain_lockstep () =
   let domains = 4 in
   let ops = churn_ops ~pool:200 ~ops:8_000 ~seed:35 in
   let n = Array.length ops in
   (* Single-domain reference run of the same driver. *)
-  let reference = Epoch.Table.create () in
+  let reference = Epoch.Packed.Heap.create () in
   let expected = Array.mapi (fun i o -> apply_epoch reference o i) ops in
   (* 4-domain run: domain d owns the flows hashing to bucket d and
      applies its ops in program order, so every per-flow op sequence
@@ -640,7 +642,7 @@ let test_epoch_four_domain_lockstep () =
      and the merged stats must come out identical (the table charges
      exactly one examination per lookup, an order-independent
      discipline). *)
-  let table = Epoch.Table.create () in
+  let table = Epoch.Packed.Heap.create () in
   let results = Array.make n Inserted in
   let owner_of (o : Check.Op.op) =
     Hashing.Hashers.bucket_flow Hashing.Hashers.multiplicative
@@ -659,14 +661,15 @@ let test_epoch_four_domain_lockstep () =
     if results.(i) <> expected.(i) then
       Alcotest.fail (Printf.sprintf "op %d diverged from single-domain run" i)
   done;
-  let merged = Epoch.Table.stats table
-  and single = Epoch.Table.stats reference in
+  let merged = Epoch.Packed.Heap.stats table
+  and single = Epoch.Packed.Heap.stats reference in
   Alcotest.(check bool) "merged stats match single-domain run" true
     (merged = single);
   (* Every region the concurrent run retired is reclaimable once the
      workers are gone. *)
-  Epoch.Table.quiesce table;
-  Alcotest.(check int) "retire backlog drained" 0 (Epoch.Table.pending table);
+  Epoch.Packed.Heap.quiesce table;
+  Alcotest.(check int) "retire backlog drained" 0
+    (Epoch.Packed.Heap.pending table);
   (* The scalar Sequent algorithm, driven by the same program, returns
      the same payload for every op — same per-flow histories — and
      agrees on the result-derived counters (examined counts differ by
@@ -707,7 +710,7 @@ let test_epoch_audit_real_table_passes () =
   let r =
     Check.Epoch_audit.run
       (module struct
-        include Epoch.Table
+        include Epoch.Packed.Heap
 
         let create () = create ()
       end)
@@ -751,7 +754,7 @@ let test_corpus_epoch_reclaim () =
      pin-time payloads even for flows the churn removed or rebound. *)
   let program = load_corpus "epoch-reclaim.prog" in
   let ops = program.Check.Op.ops in
-  let table = Epoch.Table.create () in
+  let table = Epoch.Packed.Heap.create () in
   let split = 7 in
   for i = 0 to split - 1 do
     Alcotest.(check bool)
@@ -761,29 +764,29 @@ let test_corpus_epoch_reclaim () =
     ignore (apply_epoch table ops.(i) i)
   done;
   let resident = ref [] in
-  Epoch.Table.iter
+  Epoch.Packed.Heap.iter
     (fun ~w0 ~w1 v -> resident := (w0, w1, v) :: !resident)
     table;
   Alcotest.(check int) "seven residents at pin time" split
     (List.length !resident);
-  let view = Epoch.Table.pin table in
+  let view = Epoch.Packed.Heap.pin table in
   for i = split to Array.length ops - 1 do
     ignore (apply_epoch table ops.(i) i)
   done;
   Alcotest.(check bool) "crossed all three growth boundaries" true
-    (Epoch.Table.capacity table >= 64);
+    (Epoch.Packed.Heap.capacity table >= 64);
   Alcotest.(check bool) "writer retired regions across the pin" true
-    (Epoch.Table.pending table > 0);
+    (Epoch.Packed.Heap.pending table > 0);
   List.iter
     (fun (w0, w1, v) ->
-      match Epoch.Table.view_find view ~w0 ~w1 with
+      match Epoch.Packed.Heap.view_find view ~w0 ~w1 with
       | Some v' when v' = v -> ()
       | _ -> Alcotest.fail "pinned view lost a pin-time resident")
     !resident;
-  Epoch.Table.unpin table;
-  Epoch.Table.quiesce table;
+  Epoch.Packed.Heap.unpin table;
+  Epoch.Packed.Heap.quiesce table;
   Alcotest.(check int) "backlog drains after unpin" 0
-    (Epoch.Table.pending table)
+    (Epoch.Packed.Heap.pending table)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation and the report                                     *)

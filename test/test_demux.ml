@@ -1054,7 +1054,7 @@ let prop_flow_key_boundary_round_trip =
       && Demux.Flow_key.hash_words w0 w1 = Demux.Flow_key.hash k)
 
 (* ------------------------------------------------------------------ *)
-(* Flat_table: open-addressing index vs a Hashtbl reference model      *)
+(* Handle_table: boxed values over the engine vs a Hashtbl model       *)
 
 type ft_op = F_insert of int | F_remove of int | F_find of int
 
@@ -1077,64 +1077,71 @@ let arbitrary_flat_ops =
            ops))
     (list_size (int_range 1 300) op)
 
-(* Drive the table and a Hashtbl through the same random op sequence.
-   [hash] lets the property run again with degenerate hashes that
-   force every key into colliding probe sequences — Robin-Hood
-   displacement and backward-shift deletion must not lose or invent
-   entries under maximal collision pressure either. *)
-let flat_table_model_agreement ?hash () ops =
-  let table = Demux.Flat_table.create ?hash ~initial_capacity:8 () in
+(* The boxed-value layer against the same model, under
+   insert/replace/remove churn.  Values are boxed strings, so a stale
+   or crossed handle shows as a wrong payload.  Beyond agreement: an
+   overwrite of a resident key never issues a handle, and freed handles
+   are reused before new ones, so the handle space never exceeds the
+   peak population. *)
+let handle_table_model_agreement ops =
+  let table = Demux.Handle_table.create () in
   let model = Hashtbl.create 16 in
+  let peak = ref 0 in
   let words i =
     let f = flow i in
     (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
   in
   List.for_all
     (fun op ->
-      match op with
-      | F_insert i ->
-        let w0, w1 = words i in
-        Demux.Flat_table.replace table ~w0 ~w1 i;
-        Hashtbl.replace model i i;
-        Demux.Flat_table.find_opt table ~w0 ~w1 = Some i
-      | F_remove i ->
-        let w0, w1 = words i in
-        Demux.Flat_table.remove table ~w0 ~w1;
-        Hashtbl.remove model i;
-        Demux.Flat_table.find_opt table ~w0 ~w1 = None
-        && not (Demux.Flat_table.mem table ~w0 ~w1)
-      | F_find i ->
-        let w0, w1 = words i in
-        Demux.Flat_table.find_opt table ~w0 ~w1 = Hashtbl.find_opt model i
-        && (match Demux.Flat_table.find table ~w0 ~w1 with
-           | v -> Hashtbl.find_opt model i = Some v
-           | exception Not_found -> Hashtbl.find_opt model i = None))
+      let healthy =
+        match op with
+        | F_insert i ->
+          let w0, w1 = words i in
+          let resident = Hashtbl.mem model i in
+          let before = Demux.Handle_table.handles table in
+          let v = Printf.sprintf "v%d.%d" i (Hashtbl.length model) in
+          Demux.Handle_table.replace table ~w0 ~w1 v;
+          Hashtbl.replace model i v;
+          peak := max !peak (Hashtbl.length model);
+          Demux.Handle_table.find_opt table ~w0 ~w1 = Some v
+          && ((not resident) || Demux.Handle_table.handles table = before)
+        | F_remove i ->
+          let w0, w1 = words i in
+          Demux.Handle_table.remove table ~w0 ~w1;
+          Hashtbl.remove model i;
+          Demux.Handle_table.find_opt table ~w0 ~w1 = None
+          && not (Demux.Handle_table.mem table ~w0 ~w1)
+        | F_find i ->
+          let w0, w1 = words i in
+          Demux.Handle_table.find_opt table ~w0 ~w1 = Hashtbl.find_opt model i
+      in
+      healthy
+      && Demux.Handle_table.length table = Hashtbl.length model
+      && Demux.Handle_table.handles table = !peak)
     ops
-  && Demux.Flat_table.length table = Hashtbl.length model
-  && Demux.Flat_table.fold (fun ~w0:_ ~w1:_ _ n -> n + 1) table 0
-     = Hashtbl.length model
+  &&
+  let seen = ref 0 in
+  Demux.Handle_table.iter
+    (fun ~w0:_ ~w1:_ v ->
+      incr seen;
+      if not (Hashtbl.fold (fun _ v' ok -> ok || v' == v) model false) then
+        seen := -1_000_000)
+    table;
+  !seen = Hashtbl.length model
 
-let prop_flat_table_model =
-  QCheck.Test.make ~count:200 ~name:"flat_table agrees with Hashtbl model"
-    arbitrary_flat_ops
-    (flat_table_model_agreement ())
-
-let prop_flat_table_model_degenerate_hash =
-  QCheck.Test.make ~count:100
-    ~name:"flat_table agrees with model under forced collisions"
-    arbitrary_flat_ops
-    (fun ops ->
-      flat_table_model_agreement ~hash:(fun _ _ -> 0) () ops
-      && flat_table_model_agreement ~hash:(fun w0 _ -> w0 land 3) () ops)
+let prop_handle_table_model =
+  QCheck.Test.make ~count:200
+    ~name:"handle_table agrees with Hashtbl model and reuses handles"
+    arbitrary_flat_ops handle_table_model_agreement
 
 (* ------------------------------------------------------------------ *)
 (* Cuckoo_table: bucketized cuckoo hashing vs the same Hashtbl model   *)
 
-(* Same drive as [flat_table_model_agreement], but over either Storage
-   backend and with the hash pair injectable: degenerate pairs aim
-   every key at one bucket pair, forcing BFS kick loops to exhaust
-   and spill into the stash, and the table must still agree with the
-   model key for key. *)
+(* The same model drive as test_offheap's packed-table property, over
+   either Storage backend and with the hash pair injectable: degenerate
+   pairs aim every key at one bucket pair, forcing BFS kick loops to
+   exhaust and spill into the stash, and the table must still agree
+   with the model key for key. *)
 let cuckoo_model_agreement (module T : Demux.Cuckoo_table.S) ?hash1 ?hash2 ()
     ops =
   let table = T.create2 ?hash1 ?hash2 () in
@@ -1310,31 +1317,36 @@ let test_cuckoo_filter_short_circuits_misses () =
     (Printf.sprintf "misses bounded by 2 (worst %d)" !worst)
     true (!worst <= 2)
 
+(* ------------------------------------------------------------------ *)
+(* The flat table: Packed_table.Heap, the engine behind every index    *)
+
 let test_flat_table_grows () =
-  let table = Demux.Flat_table.create ~initial_capacity:8 () in
-  Alcotest.(check int) "starting capacity" 8 (Demux.Flat_table.capacity table);
+  let table = Demux.Packed_table.Heap.create ~initial_capacity:8 () in
+  Alcotest.(check int) "starting capacity" 8
+    (Demux.Packed_table.Heap.capacity table);
   let n = 1_000 in
   for i = 0 to n - 1 do
     let f = flow i in
-    Demux.Flat_table.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
+    Demux.Packed_table.Heap.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
       ~w1:(Demux.Flow_key.w1_of_flow f) i
   done;
-  Alcotest.(check int) "all present" n (Demux.Flat_table.length table);
+  Alcotest.(check int) "all present" n (Demux.Packed_table.Heap.length table);
   Alcotest.(check bool) "stayed under 7/8 load" true
-    (Demux.Flat_table.length table * 8 <= Demux.Flat_table.capacity table * 7);
+    (Demux.Packed_table.Heap.length table * 8
+     <= Demux.Packed_table.Heap.capacity table * 7);
   for i = 0 to n - 1 do
     let f = flow i in
     Alcotest.(check int)
       (Printf.sprintf "entry %d survived the growth" i)
       i
-      (Demux.Flat_table.find table ~w0:(Demux.Flow_key.w0_of_flow f)
+      (Demux.Packed_table.Heap.find table ~w0:(Demux.Flow_key.w0_of_flow f)
          ~w1:(Demux.Flow_key.w1_of_flow f))
   done;
   (* Robin Hood keeps probe sequences short even at 1000 entries. *)
   Alcotest.(check bool) "probe lengths bounded" true
-    (Demux.Flat_table.max_probe_length table < 32);
-  Demux.Flat_table.clear table;
-  Alcotest.(check int) "clear empties" 0 (Demux.Flat_table.length table)
+    (Demux.Packed_table.Heap.max_probe_length table < 32);
+  Demux.Packed_table.Heap.clear table;
+  Alcotest.(check int) "clear empties" 0 (Demux.Packed_table.Heap.length table)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental resize: drain accounting and the dead-slot invariant    *)
@@ -1351,23 +1363,23 @@ let test_flat_table_no_resurrection () =
      re-inserting the same key would later resurrect the stale
      binding.  Cross a boundary, churn exactly that pattern while the
      drain is in flight, then drain fully and audit every key. *)
-  let table : int Demux.Flat_table.t = Demux.Flat_table.create () in
+  let table = Demux.Packed_table.Heap.create () in
   let put i v =
     let w0, w1 = flat_words i in
-    Demux.Flat_table.replace table ~w0 ~w1 v
+    Demux.Packed_table.Heap.replace table ~w0 ~w1 v
   in
   let get i =
     let w0, w1 = flat_words i in
-    Demux.Flat_table.find_opt table ~w0 ~w1
+    Demux.Packed_table.Heap.find_opt table ~w0 ~w1
   in
   let del i =
     let w0, w1 = flat_words i in
-    Demux.Flat_table.remove table ~w0 ~w1
+    Demux.Packed_table.Heap.remove table ~w0 ~w1
   in
   for i = 0 to 28 do put i i done;
   (* The insert reaching population 29 fires the 32 -> 64 grow. *)
   Alcotest.(check bool) "migration in flight" true
-    (Demux.Flat_table.pending_migration table > 0);
+    (Demux.Packed_table.Heap.pending_migration table > 0);
   del 3;
   Alcotest.(check (option int)) "removed while draining" None (get 3);
   put 3 1003;
@@ -1377,7 +1389,7 @@ let test_flat_table_no_resurrection () =
   (* Push the drain to completion with further inserts. *)
   for i = 29 to 40 do put i i done;
   Alcotest.(check int) "drain complete" 0
-    (Demux.Flat_table.pending_migration table);
+    (Demux.Packed_table.Heap.pending_migration table);
   Alcotest.(check (option int)) "no stale binding for 3" (Some 1003) (get 3);
   Alcotest.(check (option int)) "no stale binding for 7" (Some 1007) (get 7);
   for i = 0 to 40 do
@@ -1386,54 +1398,52 @@ let test_flat_table_no_resurrection () =
         (Printf.sprintf "key %d intact" i)
         (Some i) (get i)
   done;
-  Alcotest.(check int) "population" 41 (Demux.Flat_table.length table);
+  Alcotest.(check int) "population" 41 (Demux.Packed_table.Heap.length table);
   Alcotest.(check int) "fold agrees" 41
-    (Demux.Flat_table.fold (fun ~w0:_ ~w1:_ _ n -> n + 1) table 0)
+    (Demux.Packed_table.Heap.fold (fun ~w0:_ ~w1:_ _ n -> n + 1) table 0)
 
 let test_flat_table_resize_accounting () =
   (* The observability counters behind bench E31 and the pressure
      controller's insert-latency watermark. *)
-  let incremental : int Demux.Flat_table.t = Demux.Flat_table.create () in
-  let doubling : int Demux.Flat_table.t =
-    Demux.Flat_table.create ~resize:Demux.Flat_table.Doubling ()
+  let incremental = Demux.Packed_table.Heap.create () in
+  let doubling =
+    Demux.Packed_table.Heap.create ~resize:Demux.Packed_table.Doubling ()
   in
-  let presized : int Demux.Flat_table.t =
-    Demux.Flat_table.create ~initial_capacity:256 ()
-  in
+  let presized = Demux.Packed_table.Heap.create ~initial_capacity:256 () in
   for i = 0 to 99 do
     let w0, w1 = flat_words i in
-    Demux.Flat_table.replace incremental ~w0 ~w1 i;
-    Demux.Flat_table.replace doubling ~w0 ~w1 i;
-    Demux.Flat_table.replace presized ~w0 ~w1 i
+    Demux.Packed_table.Heap.replace incremental ~w0 ~w1 i;
+    Demux.Packed_table.Heap.replace doubling ~w0 ~w1 i;
+    Demux.Packed_table.Heap.replace presized ~w0 ~w1 i
   done;
   Alcotest.(check bool) "incremental crossed >= 4 boundaries" true
-    (Demux.Flat_table.resizes incremental >= 4);
+    (Demux.Packed_table.Heap.resizes incremental >= 4);
   Alcotest.(check int) "same trigger, same count"
-    (Demux.Flat_table.resizes incremental)
-    (Demux.Flat_table.resizes doubling);
+    (Demux.Packed_table.Heap.resizes incremental)
+    (Demux.Packed_table.Heap.resizes doubling);
   Alcotest.(check int) "doubling never carries a drain" 0
-    (Demux.Flat_table.pending_migration doubling);
+    (Demux.Packed_table.Heap.pending_migration doubling);
   Alcotest.(check int) "pre-sized never resizes" 0
-    (Demux.Flat_table.resizes presized);
+    (Demux.Packed_table.Heap.resizes presized);
   (* Whatever drain the last trigger left behind retires after a
      bounded number of further mutations. *)
   let budget = ref 0 in
-  while Demux.Flat_table.pending_migration incremental > 0 do
+  while Demux.Packed_table.Heap.pending_migration incremental > 0 do
     incr budget;
     if !budget > 1_000 then Alcotest.fail "drain never completed";
     let w0, w1 = flat_words (100 + !budget) in
-    Demux.Flat_table.replace incremental ~w0 ~w1 0;
-    Demux.Flat_table.remove incremental ~w0 ~w1
+    Demux.Packed_table.Heap.replace incremental ~w0 ~w1 0;
+    Demux.Packed_table.Heap.remove incremental ~w0 ~w1
   done;
   Alcotest.(check int) "churning the drain out left the population alone" 100
-    (Demux.Flat_table.length incremental)
+    (Demux.Packed_table.Heap.length incremental)
 
 let test_flat_table_policies_agree_under_churn () =
   (* Differential: the same deterministic churn through both resize
      policies must be observationally identical at every step. *)
-  let incremental : int Demux.Flat_table.t = Demux.Flat_table.create () in
-  let doubling : int Demux.Flat_table.t =
-    Demux.Flat_table.create ~resize:Demux.Flat_table.Doubling ()
+  let incremental = Demux.Packed_table.Heap.create () in
+  let doubling =
+    Demux.Packed_table.Heap.create ~resize:Demux.Packed_table.Doubling ()
   in
   let rng = Numerics.Rng.create ~seed:77 in
   let pool = 300 in
@@ -1442,16 +1452,16 @@ let test_flat_table_policies_agree_under_churn () =
     let w0, w1 = flat_words i in
     let roll = Numerics.Rng.int rng ~bound:100 in
     if roll < 45 then begin
-      Demux.Flat_table.replace incremental ~w0 ~w1 step;
-      Demux.Flat_table.replace doubling ~w0 ~w1 step
+      Demux.Packed_table.Heap.replace incremental ~w0 ~w1 step;
+      Demux.Packed_table.Heap.replace doubling ~w0 ~w1 step
     end
     else if roll < 65 then begin
-      Demux.Flat_table.remove incremental ~w0 ~w1;
-      Demux.Flat_table.remove doubling ~w0 ~w1
+      Demux.Packed_table.Heap.remove incremental ~w0 ~w1;
+      Demux.Packed_table.Heap.remove doubling ~w0 ~w1
     end
     else begin
-      let a = Demux.Flat_table.find_opt incremental ~w0 ~w1
-      and b = Demux.Flat_table.find_opt doubling ~w0 ~w1 in
+      let a = Demux.Packed_table.Heap.find_opt incremental ~w0 ~w1
+      and b = Demux.Packed_table.Heap.find_opt doubling ~w0 ~w1 in
       if a <> b then
         Alcotest.fail
           (Printf.sprintf "step %d key %d: incremental %s, doubling %s" step
@@ -1461,13 +1471,13 @@ let test_flat_table_policies_agree_under_churn () =
     end
   done;
   Alcotest.(check int) "same final population"
-    (Demux.Flat_table.length doubling)
-    (Demux.Flat_table.length incremental);
+    (Demux.Packed_table.Heap.length doubling)
+    (Demux.Packed_table.Heap.length incremental);
   Alcotest.(check bool) "incremental resized repeatedly" true
-    (Demux.Flat_table.resizes incremental >= 4);
+    (Demux.Packed_table.Heap.resizes incremental >= 4);
   let contents t =
     List.sort compare
-      (Demux.Flat_table.fold
+      (Demux.Packed_table.Heap.fold
          (fun ~w0 ~w1 v acc -> (w0, w1, v) :: acc)
          t [])
   in
@@ -1503,25 +1513,31 @@ let test_sequent_hit_path_zero_alloc () =
        delta)
     true (delta <= 64.0)
 
+(* The warm hit behind Sequent's per-transmit index lookup: the engine's
+   [find], and the boxed-value layer's [find] over it. *)
 let test_flat_table_find_zero_alloc () =
-  let table = Demux.Flat_table.create () in
+  let table = Demux.Packed_table.Heap.create () in
+  let boxed = Demux.Handle_table.create () in
   let population = Sim.Topology.flows 256 in
   Array.iteri
     (fun i f ->
-      Demux.Flat_table.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+      let w0 = Demux.Flow_key.w0_of_flow f
+      and w1 = Demux.Flow_key.w1_of_flow f in
+      Demux.Packed_table.Heap.replace table ~w0 ~w1 i;
+      Demux.Handle_table.replace boxed ~w0 ~w1 f)
     population;
   let w0 = Demux.Flow_key.w0_of_flow population.(17)
   and w1 = Demux.Flow_key.w1_of_flow population.(17) in
-  ignore (Demux.Flat_table.find table ~w0 ~w1);
-  let delta =
-    measure_minor_words 10_000 (fun () ->
-        ignore (Demux.Flat_table.find table ~w0 ~w1))
+  let check label find =
+    ignore (find ());
+    let delta = measure_minor_words 10_000 (fun () -> ignore (find ())) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s find allocates nothing (minor-words delta %.0f)"
+         label delta)
+      true (delta <= 64.0)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "flat find allocates nothing (minor-words delta %.0f)"
-       delta)
-    true (delta <= 64.0)
+  check "flat" (fun () -> Demux.Packed_table.Heap.find table ~w0 ~w1);
+  check "boxed" (fun () -> Demux.Handle_table.find boxed ~w0 ~w1)
 
 (* The warm-hit regression E35 gates: cuckoo lookups on either Storage
    backend allocate nothing once the table is built. *)
@@ -1549,7 +1565,7 @@ let qcheck_cases =
     (prop_lookup_count_invariant :: prop_merge_snapshots_with_histograms
      :: prop_flow_key_round_trip :: prop_flow_key_equality_agrees
      :: prop_flow_key_boundary_round_trip
-     :: prop_flat_table_model :: prop_flat_table_model_degenerate_hash
+     :: prop_handle_table_model
      :: prop_cuckoo_model :: prop_cuckoo_model_degenerate_primary
      :: prop_cuckoo_model_stash
      :: model_tests)

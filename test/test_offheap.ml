@@ -100,7 +100,7 @@ let test_storage_validation_and_names () =
     (Demux.Storage.by_name "mmap" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Packed_table (offheap): Hashtbl-model agreement                     *)
+(* Packed_table (heap and offheap): Hashtbl-model agreement           *)
 
 type op = P_insert of int | P_remove of int | P_find of int
 
@@ -123,11 +123,11 @@ let arbitrary_ops =
            ops))
     (list_size (int_range 1 300) op)
 
-(* Same discipline as test_demux's flat-table model property, but over
-   a storage backend and an explicit resize policy — and with the
-   pending-migration accounting invariant checked after every single
-   op, since the draining old region is live during most of a random
-   program under the incremental policy. *)
+(* The engine against a Hashtbl model, over a storage backend and an
+   explicit resize policy — with the pending-migration accounting
+   invariant checked after every single op, since the draining old
+   region is live during most of a random program under the
+   incremental policy.  [find] is checked against [find_opt]. *)
 let model_agreement (module M : Demux.Packed_table.S) ?hash ~resize ops =
   let table = M.create ?hash ~initial_capacity:8 ~resize () in
   let model = Hashtbl.create 16 in
@@ -158,31 +158,34 @@ let model_agreement (module M : Demux.Packed_table.S) ?hash ~resize ops =
     ops
   && M.fold (fun ~w0:_ ~w1:_ _ n -> n + 1) table 0 = Hashtbl.length model
 
+(* Both backends, each under both policies and degenerate hashes. *)
+let engines : (module Demux.Packed_table.S) list =
+  [ (module Demux.Packed_table.Heap); (module Demux.Packed_table.Offheap) ]
+
 let prop_offheap_model_both_policies =
   QCheck.Test.make ~count:200
     ~name:"offheap packed table agrees with Hashtbl model (both policies)"
     arbitrary_ops
     (fun ops ->
-      model_agreement
-        (module Demux.Packed_table.Offheap)
-        ~resize:Demux.Flat_table.Incremental ops
-      && model_agreement
-           (module Demux.Packed_table.Offheap)
-           ~resize:Demux.Flat_table.Doubling ops)
+      List.for_all
+        (fun m ->
+          model_agreement m ~resize:Demux.Packed_table.Incremental ops
+          && model_agreement m ~resize:Demux.Packed_table.Doubling ops)
+        engines)
 
 let prop_offheap_model_degenerate_hash =
   QCheck.Test.make ~count:100
     ~name:"offheap packed table agrees with model under forced collisions"
     arbitrary_ops
     (fun ops ->
-      model_agreement
-        (module Demux.Packed_table.Offheap)
-        ~hash:(fun _ _ -> 0)
-        ~resize:Demux.Flat_table.Incremental ops
-      && model_agreement
-           (module Demux.Packed_table.Offheap)
-           ~hash:(fun w0 _ -> w0 land 3)
-           ~resize:Demux.Flat_table.Incremental ops)
+      List.for_all
+        (fun m ->
+          model_agreement m ~hash:(fun _ _ -> 0)
+            ~resize:Demux.Packed_table.Incremental ops
+          && model_agreement m
+               ~hash:(fun w0 _ -> w0 land 3)
+               ~resize:Demux.Packed_table.Incremental ops)
+        engines)
 
 let run_ops (module M : Demux.Packed_table.S) ~resize ops =
   let table = M.create ~initial_capacity:8 ~resize () in
@@ -208,15 +211,15 @@ let prop_backends_agree =
     (fun ops ->
       let heap_i =
         run_ops (module Demux.Packed_table.Heap)
-          ~resize:Demux.Flat_table.Incremental ops
+          ~resize:Demux.Packed_table.Incremental ops
       in
       let off_i =
         run_ops (module Demux.Packed_table.Offheap)
-          ~resize:Demux.Flat_table.Incremental ops
+          ~resize:Demux.Packed_table.Incremental ops
       in
       let off_d =
         run_ops (module Demux.Packed_table.Offheap)
-          ~resize:Demux.Flat_table.Doubling ops
+          ~resize:Demux.Packed_table.Doubling ops
       in
       heap_i = off_i && off_i = off_d)
 
@@ -226,7 +229,7 @@ let prop_backends_agree =
 let test_offheap_grows_across_boundaries () =
   let table =
     Demux.Packed_table.Offheap.create ~initial_capacity:8
-      ~resize:Demux.Flat_table.Incremental ()
+      ~resize:Demux.Packed_table.Incremental ()
   in
   for i = 0 to 59 do
     let w0, w1 = words i in
@@ -264,7 +267,7 @@ let test_offheap_no_resurrection_across_resize () =
      re-kill the dead-marked old slot, and the key must stay gone. *)
   let module M = Demux.Packed_table.Offheap in
   let table =
-    M.create ~initial_capacity:8 ~resize:Demux.Flat_table.Incremental ()
+    M.create ~initial_capacity:8 ~resize:Demux.Packed_table.Incremental ()
   in
   for i = 0 to 7 do
     let w0, w1 = words i in
@@ -287,7 +290,7 @@ let test_offheap_no_resurrection_across_resize () =
 let test_offheap_clear_releases_storage () =
   let module M = Demux.Packed_table.Offheap in
   let table =
-    M.create ~initial_capacity:8 ~resize:Demux.Flat_table.Incremental ()
+    M.create ~initial_capacity:8 ~resize:Demux.Packed_table.Incremental ()
   in
   for i = 0 to 40 do
     let w0, w1 = words i in

@@ -387,275 +387,6 @@ let test_segment_skip_checksum () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* UDP                                                                 *)
-
-let udp_pseudo_sum payload_length =
-  let ip =
-    Packet.Ipv4.make ~src:(addr 10 0 0 1) ~dst:(addr 10 0 0 2)
-      ~protocol:Packet.Ipv4.Udp
-      ~payload_length:(Packet.Udp_header.header_length + payload_length) ()
-  in
-  Packet.Ipv4.pseudo_header_sum ip
-
-let test_udp_roundtrip () =
-  let header =
-    Packet.Udp_header.make ~src_port:5353 ~dst_port:53 ~payload_length:9
-  in
-  let pseudo_sum = udp_pseudo_sum 9 in
-  let buf = Bytes.create 32 in
-  let written =
-    Packet.Udp_header.serialize header ~pseudo_sum ~payload:"dns query" buf
-      ~off:0
-  in
-  Alcotest.(check int) "8 + 9" 17 written;
-  match Packet.Udp_header.parse ~pseudo_sum buf ~off:0 with
-  | Error e -> Alcotest.fail e
-  | Ok (parsed, payload_off) ->
-    Alcotest.(check int) "src" 5353 parsed.Packet.Udp_header.src_port;
-    Alcotest.(check int) "dst" 53 parsed.Packet.Udp_header.dst_port;
-    Alcotest.(check int) "payload offset" 8 payload_off;
-    Alcotest.(check string) "payload" "dns query"
-      (Bytes.sub_string buf payload_off parsed.Packet.Udp_header.payload_length)
-
-let test_udp_checksum_detects_corruption () =
-  let header = Packet.Udp_header.make ~src_port:1 ~dst_port:2 ~payload_length:4 in
-  let pseudo_sum = udp_pseudo_sum 4 in
-  let buf = Bytes.create 16 in
-  ignore (Packet.Udp_header.serialize header ~pseudo_sum ~payload:"data" buf ~off:0);
-  Bytes.set_uint8 buf 9 (Bytes.get_uint8 buf 9 lxor 0x10);
-  match Packet.Udp_header.parse ~pseudo_sum buf ~off:0 with
-  | Ok _ -> Alcotest.fail "accepted corrupt payload"
-  | Error e -> Alcotest.(check string) "error" "udp: checksum mismatch" e
-
-let test_udp_optional_checksum () =
-  (* Serialized without pseudo_sum -> wire checksum 0 -> parser must
-     accept it even when verifying. *)
-  let header = Packet.Udp_header.make ~src_port:1 ~dst_port:2 ~payload_length:2 in
-  let buf = Bytes.create 16 in
-  ignore (Packet.Udp_header.serialize header ~payload:"ok" buf ~off:0);
-  Alcotest.(check int) "wire checksum zero" 0 (Bytes.get_uint16_be buf 6);
-  match Packet.Udp_header.parse ~pseudo_sum:(udp_pseudo_sum 2) buf ~off:0 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
-
-let test_udp_flow_key () =
-  let ip =
-    Packet.Ipv4.make ~src:(addr 10 0 0 9) ~dst:(addr 192 168 1 1)
-      ~protocol:Packet.Ipv4.Udp ~payload_length:8 ()
-  in
-  let header = Packet.Udp_header.make ~src_port:4000 ~dst_port:53 ~payload_length:0 in
-  let flow = Packet.Udp_header.flow ip header in
-  Alcotest.(check int) "local port" 53 flow.Packet.Flow.local.Packet.Flow.port;
-  Alcotest.(check int) "remote port" 4000 flow.Packet.Flow.remote.Packet.Flow.port
-
-let test_udp_validation () =
-  Alcotest.check_raises "payload mismatch"
-    (Invalid_argument "Udp_header.serialize: payload length mismatch")
-    (fun () ->
-      let header = Packet.Udp_header.make ~src_port:1 ~dst_port:2 ~payload_length:3 in
-      ignore (Packet.Udp_header.serialize header ~payload:"xx" (Bytes.create 16) ~off:0));
-  (match Packet.Udp_header.parse (Bytes.create 4) ~off:0 with
-  | Ok _ -> Alcotest.fail "accepted truncation"
-  | Error e -> Alcotest.(check string) "truncated" "udp: truncated header" e);
-  (* Length field smaller than the header itself. *)
-  let buf = Bytes.make 8 '\x00' in
-  Bytes.set_uint16_be buf 4 5;
-  match Packet.Udp_header.parse buf ~off:0 with
-  | Ok _ -> Alcotest.fail "accepted bad length"
-  | Error e -> Alcotest.(check string) "bad length" "udp: length below header size" e
-
-(* A UDP flow drives the demux algorithms exactly like a TCP one. *)
-let test_udp_demultiplexes () =
-  let demux =
-    Demux.Registry.create
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-  in
-  let ip =
-    Packet.Ipv4.make ~src:(addr 10 0 0 9) ~dst:(addr 192 168 1 1)
-      ~protocol:Packet.Ipv4.Udp ~payload_length:8 ()
-  in
-  let header = Packet.Udp_header.make ~src_port:4000 ~dst_port:53 ~payload_length:0 in
-  let flow = Packet.Udp_header.flow ip header in
-  ignore (demux.Demux.Registry.insert flow ());
-  match demux.Demux.Registry.lookup flow with
-  | Some _ -> ()
-  | None -> Alcotest.fail "udp flow not found"
-
-(* ------------------------------------------------------------------ *)
-(* Fragmentation and reassembly                                        *)
-
-let datagram_header payload =
-  Packet.Ipv4.make ~identification:4242 ~dont_fragment:false
-    ~src:(addr 10 0 0 1) ~dst:(addr 192 168 1 1) ~protocol:Packet.Ipv4.Tcp
-    ~payload_length:(String.length payload) ()
-
-let reassemble_all ?(now = 0.0) reassembler pieces =
-  List.fold_left
-    (fun acc (header, piece) ->
-      match Packet.Reassembly.push reassembler ~now header piece with
-      | Ok (Packet.Reassembly.Complete (h, p)) -> Some (h, p)
-      | Ok (Packet.Reassembly.Pending | Packet.Reassembly.Duplicate) -> acc
-      | Error e -> Alcotest.fail e)
-    None pieces
-
-let test_fragment_shapes () =
-  let payload = String.init 2000 (fun i -> Char.chr (i mod 256)) in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:576
-  in
-  Alcotest.(check int) "four pieces" 4 (List.length pieces);
-  List.iteri
-    (fun i (h, piece) ->
-      let last = i = List.length pieces - 1 in
-      Alcotest.(check bool) "MF" (not last) h.Packet.Ipv4.more_fragments;
-      if not last then
-        Alcotest.(check int) "multiple of 8" 0 (String.length piece mod 8);
-      Alcotest.(check bool) "fits mtu" true
-        (Packet.Ipv4.header_length + String.length piece <= 576))
-    pieces;
-  (* Offsets and pieces cover the payload exactly. *)
-  let rebuilt = Buffer.create 2000 in
-  List.iter (fun (_, piece) -> Buffer.add_string rebuilt piece) pieces;
-  Alcotest.(check string) "cover" payload (Buffer.contents rebuilt)
-
-let test_fragment_df_raises () =
-  let payload = String.make 2000 'x' in
-  let header =
-    Packet.Ipv4.make ~dont_fragment:true ~src:(addr 1 1 1 1) ~dst:(addr 2 2 2 2)
-      ~protocol:Packet.Ipv4.Tcp ~payload_length:2000 ()
-  in
-  Alcotest.check_raises "DF"
-    (Invalid_argument "Reassembly.fragment: DF set and datagram exceeds mtu")
-    (fun () -> ignore (Packet.Reassembly.fragment header ~payload ~mtu:576))
-
-let test_fragment_small_passthrough () =
-  let payload = "tiny" in
-  match Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:576 with
-  | [ (h, p) ] ->
-    Alcotest.(check string) "unchanged" payload p;
-    Alcotest.(check bool) "no MF" false h.Packet.Ipv4.more_fragments
-  | _ -> Alcotest.fail "should not fragment"
-
-let test_reassemble_in_order () =
-  let payload = String.init 5000 (fun i -> Char.chr ((i * 7) mod 256)) in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:1500
-  in
-  let r = Packet.Reassembly.create () in
-  (match reassemble_all r pieces with
-  | Some (h, p) ->
-    Alcotest.(check string) "payload restored" payload p;
-    Alcotest.(check int) "length" 5000 h.Packet.Ipv4.payload_length;
-    Alcotest.(check bool) "MF cleared" false h.Packet.Ipv4.more_fragments
-  | None -> Alcotest.fail "incomplete");
-  Alcotest.(check int) "nothing pending" 0 (Packet.Reassembly.pending r)
-
-let test_reassemble_out_of_order () =
-  let payload = String.init 3000 (fun i -> Char.chr ((i * 13) mod 256)) in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:576
-  in
-  let shuffled =
-    let arr = Array.of_list pieces in
-    let rng = Numerics.Rng.create ~seed:5 in
-    Numerics.Rng.shuffle rng arr;
-    Array.to_list arr
-  in
-  let r = Packet.Reassembly.create () in
-  match reassemble_all r shuffled with
-  | Some (_, p) -> Alcotest.(check string) "restored from shuffle" payload p
-  | None -> Alcotest.fail "incomplete"
-
-let test_reassemble_missing_fragment_pends () =
-  let payload = String.make 4000 'q' in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:1500
-  in
-  let r = Packet.Reassembly.create () in
-  (* Drop the middle piece. *)
-  let holey = [ List.nth pieces 0; List.nth pieces 2 ] in
-  (match reassemble_all r holey with
-  | None -> ()
-  | Some _ -> Alcotest.fail "completed with a hole");
-  Alcotest.(check int) "one pending" 1 (Packet.Reassembly.pending r);
-  (* Delivering the missing piece completes it. *)
-  match reassemble_all r [ List.nth pieces 1 ] with
-  | Some (_, p) -> Alcotest.(check string) "completed" payload p
-  | None -> Alcotest.fail "still incomplete"
-
-let test_reassemble_duplicate_and_overlap () =
-  let payload = String.init 2900 (fun i -> Char.chr (i mod 251)) in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:1500
-  in
-  let r = Packet.Reassembly.create () in
-  (* Deliver the first fragment twice. *)
-  let first = List.hd pieces in
-  (match Packet.Reassembly.push r ~now:0.0 (fst first) (snd first) with
-  | Ok Packet.Reassembly.Pending -> ()
-  | _ -> Alcotest.fail "expected pending");
-  (match Packet.Reassembly.push r ~now:0.0 (fst first) (snd first) with
-  | Ok Packet.Reassembly.Duplicate -> ()
-  | _ -> Alcotest.fail "expected duplicate");
-  match reassemble_all r (List.tl pieces) with
-  | Some (_, p) -> Alcotest.(check string) "unaffected" payload p
-  | None -> Alcotest.fail "incomplete"
-
-let test_reassembly_expiry () =
-  let payload = String.make 4000 'z' in
-  let pieces =
-    Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu:1500
-  in
-  let r = Packet.Reassembly.create ~timeout:10.0 () in
-  (match Packet.Reassembly.push r ~now:0.0 (fst (List.hd pieces))
-           (snd (List.hd pieces))
-   with
-  | Ok Packet.Reassembly.Pending -> ()
-  | _ -> Alcotest.fail "expected pending");
-  Alcotest.(check int) "not expired yet" 0 (Packet.Reassembly.expire r ~now:5.0);
-  Alcotest.(check int) "expired" 1 (Packet.Reassembly.expire r ~now:20.0);
-  Alcotest.(check int) "empty" 0 (Packet.Reassembly.pending r)
-
-let test_reassembly_rejects_malformed () =
-  let r = Packet.Reassembly.create () in
-  let header = datagram_header "0123456789" in
-  (* Length mismatch. *)
-  (match Packet.Reassembly.push r ~now:0.0 header "short" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted length mismatch");
-  (* Non-final fragment not a multiple of 8. *)
-  let bad = { header with Packet.Ipv4.more_fragments = true } in
-  match Packet.Reassembly.push r ~now:0.0 bad "0123456789" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted ragged non-final fragment"
-
-let prop_fragment_reassemble_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"fragment -> shuffle -> reassemble = id"
-    QCheck.(
-      pair
-        (string_of_size (Gen.int_range 1 8000))
-        (pair (int_range 68 1500) small_int))
-    (fun (payload, (mtu, seed)) ->
-      let pieces =
-        Packet.Reassembly.fragment (datagram_header payload) ~payload ~mtu
-      in
-      let arr = Array.of_list pieces in
-      let rng = Numerics.Rng.create ~seed in
-      Numerics.Rng.shuffle rng arr;
-      let r = Packet.Reassembly.create () in
-      let final =
-        Array.fold_left
-          (fun acc (h, piece) ->
-            match Packet.Reassembly.push r ~now:0.0 h piece with
-            | Ok (Packet.Reassembly.Complete (_, p)) -> Some p
-            | Ok _ -> acc
-            | Error _ -> Some "ERROR")
-          None arr
-      in
-      final = Some payload)
-
-(* ------------------------------------------------------------------ *)
 (* Pcap                                                                *)
 
 let with_temp_file f =
@@ -928,11 +659,6 @@ let prop_tcp_parse_total =
     arbitrary_bytes (fun bytes ->
       no_exception (fun () -> Packet.Tcp_header.parse bytes ~off:0))
 
-let prop_udp_parse_total =
-  QCheck.Test.make ~count:1000 ~name:"Udp_header.parse never raises on garbage"
-    arbitrary_bytes (fun bytes ->
-      no_exception (fun () -> Packet.Udp_header.parse bytes ~off:0))
-
 let prop_segment_parse_total =
   QCheck.Test.make ~count:1000 ~name:"Segment.parse never raises on garbage"
     arbitrary_bytes (fun bytes ->
@@ -954,8 +680,7 @@ let prop_segment_parse_total_on_mutated_valid =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_segment_roundtrip; prop_flow_key_injective_on_reverse;
-      prop_fragment_reassemble_roundtrip; prop_ipv4_parse_total;
-      prop_tcp_parse_total; prop_udp_parse_total; prop_segment_parse_total;
+      prop_ipv4_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
       prop_segment_parse_total_on_mutated_valid ]
 
 (* ------------------------------------------------------------------ *)
@@ -1000,28 +725,6 @@ let () =
             test_segment_detects_any_corruption;
           Alcotest.test_case "rejects fragments" `Quick test_segment_rejects_fragment;
           Alcotest.test_case "skip checksum option" `Quick test_segment_skip_checksum ] );
-      ( "udp",
-        [ Alcotest.test_case "roundtrip" `Quick test_udp_roundtrip;
-          Alcotest.test_case "checksum detects corruption" `Quick
-            test_udp_checksum_detects_corruption;
-          Alcotest.test_case "optional checksum" `Quick test_udp_optional_checksum;
-          Alcotest.test_case "flow key" `Quick test_udp_flow_key;
-          Alcotest.test_case "validation" `Quick test_udp_validation;
-          Alcotest.test_case "demultiplexes" `Quick test_udp_demultiplexes ] );
-      ( "reassembly",
-        [ Alcotest.test_case "fragment shapes" `Quick test_fragment_shapes;
-          Alcotest.test_case "DF raises" `Quick test_fragment_df_raises;
-          Alcotest.test_case "small passthrough" `Quick
-            test_fragment_small_passthrough;
-          Alcotest.test_case "in order" `Quick test_reassemble_in_order;
-          Alcotest.test_case "out of order" `Quick test_reassemble_out_of_order;
-          Alcotest.test_case "missing fragment pends" `Quick
-            test_reassemble_missing_fragment_pends;
-          Alcotest.test_case "duplicate and overlap" `Quick
-            test_reassemble_duplicate_and_overlap;
-          Alcotest.test_case "expiry" `Quick test_reassembly_expiry;
-          Alcotest.test_case "rejects malformed" `Quick
-            test_reassembly_rejects_malformed ] );
       ( "pcap",
         [ Alcotest.test_case "roundtrip" `Quick test_pcap_roundtrip;
           Alcotest.test_case "bad magic" `Quick test_pcap_bad_magic;

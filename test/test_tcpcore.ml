@@ -597,6 +597,47 @@ let test_stack_time_wait_reaping () =
   Alcotest.(check int) "gone" 0 (Tcpcore.Stack.connection_count client);
   Alcotest.(check state) "closed" Tcpcore.State.Closed conn.Tcpcore.Stack.state
 
+let test_stack_extract_cancels_time_wait () =
+  (* Migrating a TIME-WAIT connection away takes its 2MSL timer with
+     it: the source stack's timer is cancelled (nothing left to reap,
+     nothing counted), and the adopting stack arms its own. *)
+  let server = Tcpcore.Stack.create ~local_addr:server_addr () in
+  let client =
+    Tcpcore.Stack.create ~time_wait_timeout:30.0 ~local_addr:client_addr ()
+  in
+  let conn, _ = establish server client in
+  Tcpcore.Stack.close client conn;
+  pump server client;
+  (match
+     Tcpcore.Stack.connection_of_flow server
+       (Packet.Flow.v ~local:server_ep ~remote:(client_ep 4000))
+   with
+  | Some sconn -> Tcpcore.Stack.close server sconn
+  | None -> Alcotest.fail "server connection missing");
+  pump server client;
+  Alcotest.(check int) "timer armed" 1 (Tcpcore.Stack.pending_time_wait client);
+  let moved =
+    match Tcpcore.Stack.extract_connection client conn.Tcpcore.Stack.flow with
+    | Some c -> c
+    | None -> Alcotest.fail "extract lost the connection"
+  in
+  Alcotest.(check int) "source timer cancelled" 0
+    (Tcpcore.Stack.pending_time_wait client);
+  Alcotest.(check bool) "source record cleared" true
+    (conn.Tcpcore.Stack.time_wait = None);
+  Alcotest.(check int) "nothing fires on the source" 0
+    (Tcpcore.Stack.advance_clock client ~now:31.5);
+  let adopter =
+    Tcpcore.Stack.create ~time_wait_timeout:30.0 ~local_addr:client_addr ()
+  in
+  Tcpcore.Stack.adopt_connection adopter moved;
+  Alcotest.(check int) "adopter arms its own" 1
+    (Tcpcore.Stack.pending_time_wait adopter);
+  Alcotest.(check int) "adopter reaps it" 1
+    (Tcpcore.Stack.advance_clock adopter ~now:31.5);
+  Alcotest.(check int) "adopter count drained" 0
+    (Tcpcore.Stack.pending_time_wait adopter)
+
 let test_stack_retransmission_recovers_loss () =
   (* Drop a data segment on the floor; after the RTO the client
      re-sends it and the exchange completes. *)
@@ -1062,6 +1103,8 @@ let () =
           Alcotest.test_case "handle_bytes" `Quick test_stack_handle_bytes;
           Alcotest.test_case "demux metering" `Quick test_stack_demux_metering;
           Alcotest.test_case "TIME-WAIT reaping" `Quick test_stack_time_wait_reaping;
+          Alcotest.test_case "extract cancels TIME-WAIT timer" `Quick
+            test_stack_extract_cancels_time_wait;
           Alcotest.test_case "retransmission recovers loss" `Quick
             test_stack_retransmission_recovers_loss;
           Alcotest.test_case "RTO exponential backoff" `Quick
