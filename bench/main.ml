@@ -1,52 +1,50 @@
 (* Benchmark harness: regenerates every table and figure of McKenney &
-   Dove (1992) — experiment ids E1-E18 from DESIGN.md — and then runs
-   bechamel wall-clock microbenchmarks of the same code paths.
+   Dove (1992) — experiment ids E1-E25 from DESIGN.md — plus the
+   extension experiments E28-E36, from one declarative experiment
+   table ([experiments], near the bottom of this file).
 
-   Two layers on purpose:
-   - the {e reproduction} layer prints paper-value vs our-value rows so
-     EXPERIMENTS.md can be filled mechanically;
-   - the {e bechamel} layer has one Test.make per experiment (timing
-     its regeneration) plus lookup/hash throughput groups, wall-clock
-     being the secondary check the paper's PCBs-examined metric stands
-     in for. *)
+   Each entry is listed once.  Its [run] prints the paper-value vs
+   our-value table (so EXPERIMENTS.md can be filled mechanically),
+   emits its tcpdemux-bench/1 records and exits 1 on its own
+   acceptance gate — all from a single run, so the printed table and
+   the records are the same numbers.  Its [expects] names the records
+   [--check] must find, built from the same lists [run] loops over.
+   Wall clock is only the secondary check the paper's PCBs-examined
+   metric stands in for; the direct timing loops of E29/E35 and the
+   wall-clock sanity entry provide it. *)
 
-let section title =
-  Printf.printf "\n==== %s ====\n\n" title
+let section title = Printf.printf "\n==== %s ====\n\n" title
 
 let row fmt = Printf.printf fmt
 
+(* Where an experiment's records go: [emit ~id ~units metric value]
+   appends one tcpdemux-bench/1 record. *)
+type emit = id:string -> ?units:string -> string -> float -> unit
+
+let bench_seed = 42
+
 (* ------------------------------------------------------------------ *)
-(* Reproduction layer                                                  *)
+(* The paper's analytic results                                        *)
 
 let default_params = Analysis.Tpca_params.default
 
-let e1_figure4 () = [ Analysis.Comparison.figure4 () ]
-
-let print_e1 () =
-  section "E1 / Figure 4: N(T) for 2,000 TPC/A users";
-  let series = e1_figure4 () in
-  Report.Ascii_plot.print ~title:"Figure 4" series;
+let run_e1 () =
+  Report.Ascii_plot.print ~title:"Figure 4" [ Analysis.Comparison.figure4 () ];
   let p = default_params in
   row "spot values: N(5)=%.0f N(10)=%.0f N(50)=%.0f (curve: 0 -> 1999)\n"
     (Analysis.Mtf_model.expected_preceding p 5.0)
     (Analysis.Mtf_model.expected_preceding p 10.0)
     (Analysis.Mtf_model.expected_preceding p 50.0)
 
-let e2_e3 () =
-  ( Analysis.Bsd_model.cost default_params,
-    Analysis.Bsd_model.train_probability default_params )
-
-let print_e2_e3 () =
-  section "E2/E3: BSD cost and packet-train probability (Section 3.1)";
-  let cost, train = e2_e3 () in
+let run_e2_e3 ~smoke:_ ~(emit : emit) =
+  let cost = Analysis.Bsd_model.cost default_params in
+  let train = Analysis.Bsd_model.train_probability default_params in
   row "E2 BSD expected PCBs searched : paper 1001    ours %.1f\n" cost;
-  row "E3 packet-train probability   : paper 1.9e-35 ours %.3g\n" train
+  row "E3 packet-train probability   : paper 1.9e-35 ours %.3g\n" train;
+  emit ~id:"E2" ~units:"pcbs" "analysis.bsd.cost" cost;
+  emit ~id:"E3" "analysis.bsd.train_probability" train
 
-let e4_e6 () =
-  Analysis.Comparison.mtf_response_time_table [ 0.2; 0.5; 1.0; 2.0 ]
-
-let print_e4_e6 () =
-  section "E4/E5/E6: move-to-front costs (Section 3.2)";
+let run_e4_e6 () =
   row "%-6s %18s %16s %18s\n" "R" "entry: paper/ours" "ack: paper/ours"
     "overall: paper/ours";
   List.iter2
@@ -54,234 +52,182 @@ let print_e4_e6 () =
       row "%-6.1f %10d/%-7.0f %8d/%-7.0f %10d/%-7.0f\n" r paper_entry entry
         paper_ack ack paper_overall overall)
     [ (1019, 78, 549); (1045, 190, 618); (1086, 362, 724); (1150, 659, 904) ]
-    (e4_e6 ())
+    (Analysis.Comparison.mtf_response_time_table [ 0.2; 0.5; 1.0; 2.0 ])
 
-let e7 () =
-  List.map
-    (fun rtt ->
-      (rtt, Analysis.Srcache_model.overall_cost
-              (Analysis.Tpca_params.v ~users:2000 ~rtt ())))
-    [ 0.001; 0.010; 0.100 ]
-
-let print_e7 () =
-  section "E7: send/receive cache overall cost (Section 3.3, Eq 17)";
+let run_e7 ~smoke:_ ~(emit : emit) =
   row "%-8s %18s\n" "D" "paper/ours";
   List.iter2
-    (fun paper (rtt, ours) ->
+    (fun paper rtt ->
+      let ours =
+        Analysis.Srcache_model.overall_cost
+          (Analysis.Tpca_params.v ~users:2000 ~rtt ())
+      in
       row "%-8s %10d/%-8.0f\n" (Printf.sprintf "%gms" (rtt *. 1000.)) paper ours)
-    [ 667; 993; 1002 ] (e7 ())
+    [ 667; 993; 1002 ] [ 0.001; 0.010; 0.100 ];
+  emit ~id:"E7" ~units:"pcbs" "analysis.sr-cache.cost"
+    (Analysis.Srcache_model.overall_cost default_params)
 
-let e8_e11 () =
+let run_e8_e11 ~smoke:_ ~(emit : emit) =
   let p = default_params in
-  ( Analysis.Sequent_model.hit_rate p ~chains:19,
-    Analysis.Sequent_model.quiet_probability p ~chains:19,
-    Analysis.Sequent_model.quiet_probability p ~chains:51,
-    Analysis.Sequent_model.cost p ~chains:19,
-    Analysis.Sequent_model.cost_naive p ~chains:19,
-    Analysis.Sequent_model.cost p ~chains:100 )
-
-let print_e8_e11 () =
-  section "E8-E11: Sequent hashed chains (Section 3.4)";
-  let hit, quiet19, quiet51, cost19, naive19, cost100 = e8_e11 () in
+  let hit = Analysis.Sequent_model.hit_rate p ~chains:19 in
+  let quiet19 = Analysis.Sequent_model.quiet_probability p ~chains:19 in
+  let quiet51 = Analysis.Sequent_model.quiet_probability p ~chains:51 in
+  let cost19 = Analysis.Sequent_model.cost p ~chains:19 in
+  let naive19 = Analysis.Sequent_model.cost_naive p ~chains:19 in
+  let cost100 = Analysis.Sequent_model.cost p ~chains:100 in
   row "E8  hit rate H=19          : paper ~0.95%%  ours %.2f%%\n" (100. *. hit);
   row "E9  quiet prob H=19 / H=51 : paper ~1.5%% / ~21%%  ours %.1f%% / %.1f%%\n"
     (100. *. quiet19) (100. *. quiet51);
   row "E10 cost (Eq 22 vs Eq 19)  : paper 53.0 vs 53.6  ours %.1f vs %.1f\n"
     cost19 naive19;
-  row "E11 cost at H=100          : paper <9  ours %.2f\n" cost100
+  row "E11 cost at H=100          : paper <9  ours %.2f\n" cost100;
+  emit ~id:"E10" ~units:"pcbs" "analysis.sequent-19.cost" cost19;
+  emit ~id:"E11" ~units:"pcbs" "analysis.sequent-100.cost" cost100
 
-let e12_figure13 () = Analysis.Comparison.figure13 ()
-let e13_figure14 () = Analysis.Comparison.figure14 ()
-
-let print_e12_e13 () =
-  section "E12 / Figure 13: algorithm comparison, 0-10,000 connections";
-  Report.Ascii_plot.print ~title:"Figure 13" (e12_figure13 ());
+let run_e12_e13 () =
+  Report.Ascii_plot.print ~title:"Figure 13" (Analysis.Comparison.figure13 ());
   section "E13 / Figure 14: detail, 0-1,000 connections";
-  Report.Ascii_plot.print ~title:"Figure 14" (e13_figure14 ())
+  Report.Ascii_plot.print ~title:"Figure 14" (Analysis.Comparison.figure14 ())
 
 (* Simulation-backed experiments.  Sized to keep the whole bench run in
    tens of seconds; `tcpdemux simulate` runs bigger ones. *)
 
 let validation_params = Analysis.Tpca_params.v ~users:1000 ()
 
-let e14 () =
+let sequent chains =
+  Demux.Registry.Sequent { chains; hasher = Hashing.Hashers.multiplicative }
+
+(* A TPC/A run over [validation_params]; [tweak] edits the config. *)
+let tpca ?(duration = 120.0) ?(tweak = Fun.id) spec =
+  Sim.Tpca_workload.run
+    (tweak (Sim.Tpca_workload.default_config ~duration validation_params))
+    spec
+
+let mean (report : Sim.Report.t) = report.Sim.Report.overall_mean
+
+let e14_metric algorithm = "sim.tpca." ^ algorithm ^ ".overall_mean"
+
+(* E14, with an obs registry attached so the examined-count
+   percentiles (E27) ride along on the same runs.  [smoke] shrinks the
+   simulated population and window for CI. *)
+let run_e14 ~smoke ~(emit : emit) =
+  let params = Analysis.Tpca_params.v ~users:(if smoke then 200 else 1000) () in
   let config =
-    Sim.Tpca_workload.default_config ~duration:150.0 validation_params
+    Sim.Tpca_workload.default_config ~seed:bench_seed params
+      ~duration:(if smoke then 20.0 else 150.0)
   in
-  Sim.Validate.compare ~config validation_params
-    Demux.Registry.
-      [ Bsd; Mtf; Sr_cache;
-        Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ]
+  let obs = Obs.Registry.create () in
+  let rows =
+    Sim.Validate.compare ~obs ~config params Demux.Registry.default_specs
+  in
+  Format.printf "%a@." Sim.Validate.pp_rows rows;
+  List.iter
+    (fun (r : Sim.Validate.row) ->
+      emit ~id:"E14" ~units:"pcbs" (e14_metric r.Sim.Validate.algorithm)
+        r.Sim.Validate.simulated)
+    rows;
+  List.iter
+    (fun { Obs.Registry.name; units; data; _ } ->
+      match data with
+      | Obs.Registry.Histogram (summary, _) ->
+        emit ~id:"E27" ~units (name ^ ".p50")
+          (float_of_int summary.Obs.Histogram.p50);
+        emit ~id:"E27" ~units (name ^ ".p99")
+          (float_of_int summary.Obs.Histogram.p99)
+      | Obs.Registry.Counter _ | Obs.Registry.Gauge _ -> ())
+    (Obs.Registry.snapshot obs)
 
-let print_e14 () =
-  section "E14: simulation vs analysis (TPC/A, 1,000 users, 150 s)";
-  Format.printf "%a@." Sim.Validate.pp_rows (e14 ())
-
-let e15 () =
+let run_e15 () =
   let config = Sim.Polling_workload.default_config ~users:400 ~rounds:8 () in
-  Sim.Polling_workload.run config Demux.Registry.Mtf
-
-let print_e15 () =
-  section "E15: deterministic polling is MTF's worst case (Section 3.2)";
-  let report = e15 () in
+  let report = Sim.Polling_workload.run config Demux.Registry.Mtf in
   row "MTF entry cost with deterministic think time, 400 users: paper N=400  ours %.1f\n"
     report.Sim.Report.entry_mean
 
-let e16 () =
+let run_e16 () =
   let config = Sim.Trains_workload.default_config () in
-  Sim.Trains_workload.run config Demux.Registry.Bsd
-
-let print_e16 () =
-  section "E16: packet trains redeem the BSD cache (Section 1)";
-  let report = e16 () in
+  let report = Sim.Trains_workload.run config Demux.Registry.Bsd in
   row "BSD on mean-16 trains: hit rate %.2f (one-entry cache works), cost %.2f\n"
-    report.Sim.Report.hit_rate report.Sim.Report.overall_mean
+    report.Sim.Report.hit_rate (mean report)
 
-let e17 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:150.0 validation_params
-  in
-  let hasher = Hashing.Hashers.multiplicative in
-  ( Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent { chains = 19; hasher }),
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Hashed_mtf { chains = 19; hasher }),
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent { chains = 100; hasher }) )
+let hashed_mtf_19 =
+  Demux.Registry.Hashed_mtf
+    { chains = 19; hasher = Hashing.Hashers.multiplicative }
 
-let print_e17 () =
-  section "E17: hashing + move-to-front vs simply more chains (Section 3.5)";
-  let plain, mtf, more_chains = e17 () in
-  row "sequent H=19      : %.2f PCBs/packet\n" plain.Sim.Report.overall_mean;
+let run_e17 () =
+  row "sequent H=19      : %.2f PCBs/packet\n"
+    (mean (tpca ~duration:150.0 (sequent 19)));
   row "hashed-mtf H=19   : %.2f  (paper: at best ~2x better)\n"
-    mtf.Sim.Report.overall_mean;
+    (mean (tpca ~duration:150.0 hashed_mtf_19));
   row "sequent H=100     : %.2f  (paper: ~5x better — the better buy)\n"
-    more_chains.Sim.Report.overall_mean
+    (mean (tpca ~duration:150.0 (sequent 100)))
 
-let e18 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:60.0 validation_params
-  in
-  Sim.Tpca_workload.run config (Demux.Registry.Conn_id { capacity = 2048 })
-
-let print_e18 () =
-  section "E18: connection-ID direct indexing (Section 3.5 counterfactual)";
-  let report = e18 () in
+let run_e18 () =
   row "conn-id cost: exactly %.2f PCB/packet — what TP4/X.25/XTP buy;\n"
-    report.Sim.Report.overall_mean;
+    (mean (tpca ~duration:60.0 (Demux.Registry.Conn_id { capacity = 2048 })));
   row "hashing gets within a small constant of it without protocol changes.\n"
 
-let e19 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  let delayed = { config with Sim.Tpca_workload.delayed_acks = true } in
-  ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
-    Sim.Tpca_workload.run delayed Demux.Registry.Bsd,
-    Sim.Tpca_workload.run config Demux.Registry.Sr_cache,
-    Sim.Tpca_workload.run delayed Demux.Registry.Sr_cache )
-
-let print_e19 () =
-  section "E19: delayed acknowledgements (paper footnote 2)";
-  let bsd, bsd_delayed, sr, sr_delayed = e19 () in
+let run_e19 () =
+  let delayed c = { c with Sim.Tpca_workload.delayed_acks = true } in
   row "bsd      : normal %.1f  delayed-acks %.1f  (paper: 'no effect at the server')\n"
-    bsd.Sim.Report.overall_mean bsd_delayed.Sim.Report.overall_mean;
+    (mean (tpca Demux.Registry.Bsd))
+    (mean (tpca ~tweak:delayed Demux.Registry.Bsd));
   row "sr-cache : normal %.1f  delayed-acks %.1f  (send cache no longer evicted by query acks)\n"
-    sr.Sim.Report.overall_mean sr_delayed.Sim.Report.overall_mean
+    (mean (tpca Demux.Registry.Sr_cache))
+    (mean (tpca ~tweak:delayed Demux.Registry.Sr_cache))
 
-let e20 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
+let run_e20 () =
+  let chatty c = { c with Sim.Tpca_workload.extra_query_packets = 2 } in
+  let line label r packets_per_txn =
+    row "%s : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n" label
+      r.Sim.Report.hit_rate (mean r) (mean r *. packets_per_txn)
   in
-  let chatty = { config with Sim.Tpca_workload.extra_query_packets = 2 } in
-  ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
-    Sim.Tpca_workload.run chatty Demux.Registry.Bsd )
-
-let print_e20 () =
-  section "E20: the hit-ratio pitfall (Section 3.4, chatty clients)";
-  let base, chatty = e20 () in
-  let per_txn r packets_per_txn =
-    r.Sim.Report.overall_mean *. packets_per_txn
-  in
-  row "efficient client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
-    base.Sim.Report.hit_rate base.Sim.Report.overall_mean (per_txn base 2.0);
-  row "3x-chatty client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
-    chatty.Sim.Report.hit_rate chatty.Sim.Report.overall_mean (per_txn chatty 4.0);
+  line "efficient client" (tpca Demux.Registry.Bsd) 2.0;
+  line "3x-chatty client" (tpca ~tweak:chatty Demux.Registry.Bsd) 4.0;
   row "Hit ratio soars; work per transaction does not drop — 'the miss\n";
   row "penalty dominates the hit ratio' (paper Section 3.4).\n"
 
-let e21_splay () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  ( Sim.Tpca_workload.run config Demux.Registry.Splay,
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative }) )
-
-let print_e21 () =
-  section "E21 (extension): splay tree vs hashed chains";
-  let splay, sequent = e21_splay () in
+let run_e21 () =
+  let splay = tpca Demux.Registry.Splay and sequent = tpca (sequent 19) in
   row "splay      : %.2f PCBs/packet (worst %d) — self-adjusting, no tuning knob\n"
-    splay.Sim.Report.overall_mean splay.Sim.Report.max_examined;
-  row "sequent-19 : %.2f PCBs/packet (worst %d)\n"
-    sequent.Sim.Report.overall_mean sequent.Sim.Report.max_examined;
+    (mean splay) splay.Sim.Report.max_examined;
+  row "sequent-19 : %.2f PCBs/packet (worst %d)\n" (mean sequent)
+    sequent.Sim.Report.max_examined;
   row "Splaying exploits the txn->ack locality the paper's caches chase,\n";
   row "with an O(log N) cold cost; 1992 hardware preferred hashing's\n";
   row "simpler memory behaviour, and so do modern stacks.\n"
 
-let e22 () =
-  Parallel.Throughput.scaling_table ~lookups_per_domain:20_000
-    ~domains:[ 1; 2; 4 ]
-    Parallel.Throughput.
-      [ Coarse_bsd; Coarse_sequent 19; Striped_sequent 19 ]
-
-let print_e22 () =
-  section "E22 (extension): parallel TCP, the paper's context [Dov90]";
-  Format.printf "%a" Parallel.Throughput.pp_results (e22 ());
+let run_e22 () =
+  Format.printf "%a" Parallel.Throughput.pp_results
+    (Parallel.Throughput.scaling_table ~lookups_per_domain:20_000
+       ~domains:[ 1; 2; 4 ]
+       Parallel.Throughput.
+         [ Coarse_bsd; Coarse_sequent 19; Striped_sequent 19 ]);
   row
     "A single lock serialises every inbound packet (coarse throughput\n\
      degrades as domains are added); per-chain locks let packets for\n\
      different connections proceed in parallel — the other reason\n\
      Sequent's parallel TCP hashed its PCBs.\n"
 
-let e23 () =
+let run_e23 () =
   let config = Sim.Mixed_workload.default_config ~oltp_users:1000 () in
-  List.map
-    (Sim.Mixed_workload.run config)
-    Demux.Registry.
-      [ Bsd; Mtf; Sr_cache;
-        Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ]
-
-let print_e23 () =
-  section "E23: mixed OLTP + bulk traffic (the abstract's full claim)";
-  Format.printf "%a" Sim.Mixed_workload.pp_results (e23 ());
+  Format.printf "%a" Sim.Mixed_workload.pp_results
+    (List.map
+       (Sim.Mixed_workload.run config)
+       Demux.Registry.[ Bsd; Mtf; Sr_cache; sequent 19 ]);
   row
     "Sequent is an order of magnitude better on the OLTP class while\n\
      still catching the bulk trains in its per-chain caches; note the\n\
      send/receive cache's OLTP cost is WORSE here than under pure\n\
      OLTP — the bulk stream keeps evicting its two cache slots.\n"
 
-let e24 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  List.map
-    (fun entries ->
-      ( entries,
-        Analysis.Lru_model.cost validation_params ~entries,
-        (Sim.Tpca_workload.run config
-           (Demux.Registry.Lru_cache { entries }))
-          .Sim.Report.overall_mean ))
-    [ 1; 8; 64; 256 ]
-
-let print_e24 () =
-  section "E24 (extension): would a bigger cache have saved BSD?";
+let run_e24 () =
   row "%-10s %12s %12s\n" "K entries" "model" "simulated";
   List.iter
-    (fun (entries, model, simulated) ->
-      row "%-10d %12.1f %12.1f\n" entries model simulated)
-    (e24 ());
+    (fun entries ->
+      row "%-10d %12.1f %12.1f\n" entries
+        (Analysis.Lru_model.cost validation_params ~entries)
+        (mean (tpca (Demux.Registry.Lru_cache { entries }))))
+    [ 1; 8; 64; 256 ];
   row
     "A K-entry LRU cache starts catching response acks once K exceeds\n\
      the response-window packet count (~%.0f here) — but the floor is\n\
@@ -289,21 +235,17 @@ let print_e24 () =
      caches cannot rescue the linear scan; the miss penalty dominates.\n"
     (2.0 *. 0.1 *. 0.201 *. 999.0)
 
-let e25 () =
+let run_e25 () =
   (* Think-time distribution ablation: same mean (10 s), different
      shapes.  MTF's TPC/A advantage came from exponential randomness;
      Sequent does not care. *)
-  let base = Sim.Tpca_workload.default_config ~duration:120.0 validation_params in
-  let shapes =
-    [ ("truncated-exp", base.Sim.Tpca_workload.think);
-      ("uniform(5,15)", Numerics.Distribution.uniform ~min:5.0 ~max:15.0);
-      ("deterministic", Numerics.Distribution.deterministic 10.0) ]
-  in
-  List.map
+  row "%-16s %10s %12s\n" "think time" "mtf" "sequent-19";
+  List.iter
     (fun (label, think) ->
-      let config =
+      let tweak (base : Sim.Tpca_workload.config) =
         { base with
-          Sim.Tpca_workload.think;
+          Sim.Tpca_workload.think =
+            Option.value think ~default:base.Sim.Tpca_workload.think;
           stagger =
             (* Deterministic think needs staggered starts to avoid a
                degenerate thundering herd. *)
@@ -311,20 +253,12 @@ let e25 () =
             | "deterministic" -> Sim.Tpca_workload.Even
             | _ -> base.Sim.Tpca_workload.stagger) }
       in
-      ( label,
-        (Sim.Tpca_workload.run config Demux.Registry.Mtf).Sim.Report.overall_mean,
-        (Sim.Tpca_workload.run config
-           (Demux.Registry.Sequent
-              { chains = 19; hasher = Hashing.Hashers.multiplicative }))
-          .Sim.Report.overall_mean ))
-    shapes
-
-let print_e25 () =
-  section "E25 (extension): think-time shape ablation (Section 3.2's caveat)";
-  row "%-16s %10s %12s\n" "think time" "mtf" "sequent-19";
-  List.iter
-    (fun (label, mtf, sequent) -> row "%-16s %10.1f %12.2f\n" label mtf sequent)
-    (e25 ());
+      row "%-16s %10.1f %12.2f\n" label
+        (mean (tpca ~tweak Demux.Registry.Mtf))
+        (mean (tpca ~tweak (sequent 19))))
+    [ ("truncated-exp", None);
+      ("uniform(5,15)", Some (Numerics.Distribution.uniform ~min:5.0 ~max:15.0));
+      ("deterministic", Some (Numerics.Distribution.deterministic 10.0)) ];
   row
     "MTF's win over BSD (~%.0f) exists only while think times are\n\
      random; make them deterministic and it collapses to ~N.  The\n\
@@ -332,22 +266,43 @@ let print_e25 () =
      credits when dismissing move-to-front.\n"
     (Analysis.Bsd_model.cost validation_params)
 
-let e28 () =
-  Parallel.Throughput.scaling_table ~lookups_per_domain:20_000
-    ~domains:[ 1; 2; 4; 8 ] ~batches:[ 1; 8; 64 ]
-    Parallel.Throughput.[ Striped_sequent 19 ]
+(* One record per (target, domains, batch) throughput cell; E28 and E33
+   share the naming. *)
+let throughput_metric target domains batch =
+  Printf.sprintf "parallel.%s.d%d.b%d.lookups_per_s" target domains batch
 
-let print_e28 () =
-  section "E28 (extension): batched demultiplexing amortises the stripe locks";
-  Format.printf "%a" Parallel.Throughput.pp_results (e28 ());
+let emit_throughput ~(emit : emit) ~id results =
+  List.iter
+    (fun (r : Parallel.Throughput.result) ->
+      emit ~id ~units:"lookups/s"
+        (throughput_metric r.Parallel.Throughput.target
+           r.Parallel.Throughput.domains r.Parallel.Throughput.batch)
+        r.Parallel.Throughput.lookups_per_second)
+    results
+
+(* E28: batched vs per-packet parallel lookup throughput on the striped
+   table.  Smoke keeps the 4-domain batch-1/batch-64 pair — the cells
+   a regression series follows — and the full ladder contains it. *)
+let e28_target = Parallel.Throughput.Striped_sequent 19
+
+let e28_grid ~smoke =
+  if smoke then ([ 4 ], [ 1; 64 ]) else ([ 1; 2; 4; 8 ], [ 1; 8; 64 ])
+
+let run_e28 ~smoke ~(emit : emit) =
+  let domains, batches = e28_grid ~smoke in
+  let results =
+    Parallel.Throughput.scaling_table
+      ~lookups_per_domain:(if smoke then 20_000 else 100_000)
+      ~seed:bench_seed ~domains ~batches [ e28_target ]
+  in
+  Format.printf "%a" Parallel.Throughput.pp_results results;
+  emit_throughput ~emit ~id:"E28" results;
   row
     "Per-packet lookup pays one mutex acquisition per packet; grouping\n\
      a burst by stripe and taking each stripe's lock once per batch\n\
      spreads that cost over the batch, so batched throughput pulls\n\
      ahead as domains (lock traffic) grow.  Timing is the monotonic\n\
      ns clock; per-lookup latencies are batch-amortised.\n"
-
-let bench_seed = 42
 
 (* E29: flat open-addressing PCB table vs chained Sequent, wall-clock
    and minor-heap allocation per warm lookup (DESIGN.md section 10).
@@ -383,6 +338,15 @@ let measure_lookups ~trials ~lookups run =
     if words < !best_words then best_words := words
   done;
   (!best_ns, !best_words)
+
+(* Minor words per [lookup k] over 200,000 calls, after 1,000 warm-up
+   calls so the measured loop sees only steady-state finds. *)
+let warm_words_per_lookup lookup =
+  for k = 0 to 999 do lookup k done;
+  let lookups = 200_000 in
+  let before = Gc.minor_words () in
+  for k = 0 to lookups - 1 do lookup k done;
+  (Gc.minor_words () -. before) /. float_of_int lookups
 
 let e29_measure ~trials ~lookups n =
   let population = Sim.Topology.flows n in
@@ -442,15 +406,30 @@ let assert_e29 rows =
       end)
     rows
 
-let print_e29 () =
-  section "E29 (extension): flat PCB table vs chained Sequent, warm lookups";
-  let rows = e29 ~smoke:false () in
+(* The records each population yields: (table family, metric suffix,
+   units, value). *)
+let e29_fields =
+  [ ("chained.sequent-19", "ns_per_lookup", "ns", fun r -> r.chained_ns);
+    ("chained.sequent-19", "minor_words_per_lookup", "words",
+     fun r -> r.chained_words);
+    ("flat", "ns_per_lookup", "ns", fun r -> r.flat_ns);
+    ("flat", "minor_words_per_lookup", "words", fun r -> r.flat_words) ]
+
+let e29_metric n (family, suffix, _, _) =
+  Printf.sprintf "demux.%s.n%d.%s" family n suffix
+
+let run_e29 ~smoke ~(emit : emit) =
+  let rows = e29 ~smoke () in
   row "%-8s %14s %14s %16s %16s\n" "N" "chained ns" "flat ns" "chained words"
     "flat words";
   List.iter
     (fun r ->
       row "%-8d %14.1f %14.1f %16.4f %16.4f\n" r.n r.chained_ns r.flat_ns
-        r.chained_words r.flat_words)
+        r.chained_words r.flat_words;
+      List.iter
+        (fun ((_, _, units, value) as field) ->
+          emit ~id:"E29" ~units (e29_metric r.n field) (value r))
+        e29_fields)
     rows;
   assert_e29 rows;
   row
@@ -512,20 +491,6 @@ let e31_measure ~warmup ~total ?initial_capacity ~name resize =
     if i land 15 = 15 then remove (i - 8);
     if i land 4095 = 0 then Gc.minor ()
   done;
-  (if Sys.getenv_opt "E31_DEBUG" <> None then begin
-     let over n =
-       Array.fold_left (fun a x -> if x > n then a + 1 else a) 0 latencies
-     in
-     Printf.eprintf "[%s] over2u=%d over4u=%d over8u=%d over16u=%d\n" name
-       (over 2000) (over 4000) (over 8000) (over 16000);
-     let idx = Array.init timed Fun.id in
-     Array.sort (fun a b -> compare latencies.(b) latencies.(a)) idx;
-     for r = 0 to 119 do
-       if r < 20 || r >= 100 then
-         Printf.eprintf "  top%-3d ns=%-8d at insert %d\n" r
-           latencies.(idx.(r)) (warmup + idx.(r))
-     done
-   end);
   Array.sort (fun (a : int) b -> compare a b) latencies;
   { policy = name;
     p50_ns = latencies.(timed / 2);
@@ -545,16 +510,28 @@ let e31_best ~warmup ~total ?initial_capacity ~name resize =
   done;
   !best
 
+(* The two growing policies, then the control: (name, policy,
+   pre-sized). *)
+let e31_policies =
+  Demux.Packed_table.
+    [ ("incremental", Incremental, false); ("doubling", Doubling, false);
+      ("presized", Incremental, true) ]
+
 let e31 ~smoke () =
   let warmup, total =
     if smoke then (10_000, 120_000) else (100_000, 1_000_000)
   in
-  (* [2 * total] rounds up to a power of two past the 7/8 growth
-     trigger for the whole ramp, so the control run never resizes. *)
-  [ e31_best ~warmup ~total ~name:"incremental" Demux.Packed_table.Incremental;
-    e31_best ~warmup ~total ~name:"doubling" Demux.Packed_table.Doubling;
-    e31_best ~warmup ~total ~initial_capacity:(2 * total) ~name:"presized"
-      Demux.Packed_table.Incremental ]
+  (* Run control first and incremental last — each run leaves the heap
+     grown for the next, and the tail gates were tuned in this order —
+     and return the rows in declaration order. *)
+  List.rev_map
+    (fun (name, resize, presized) ->
+      (* [2 * total] rounds up to a power of two past the 7/8 growth
+         trigger for the whole ramp, so the control run never
+         resizes. *)
+      let initial_capacity = if presized then Some (2 * total) else None in
+      e31_best ~warmup ~total ?initial_capacity ~name resize)
+    (List.rev e31_policies)
 
 (* The tentpole's acceptance bar: the ramp really crosses growth
    triggers for both growing policies, the control never grows,
@@ -621,17 +598,25 @@ let assert_e31 rows =
     exit 1
   end
 
-let print_e31 () =
-  section
-    "E31 (extension): insert-latency tail under growth, incremental vs \
-     doubling";
-  let rows = e31 ~smoke:false () in
+let e31_fields =
+  [ ("p50_ns", fun r -> r.p50_ns); ("p999_ns", fun r -> r.p999_ns);
+    ("max_ns", fun r -> r.max_ns) ]
+
+let e31_metric policy suffix = Printf.sprintf "demux.resize.%s.%s" policy suffix
+
+let run_e31 ~smoke ~(emit : emit) =
+  let rows = e31 ~smoke () in
   row "%-14s %10s %10s %12s %9s\n" "policy" "p50 ns" "p999 ns" "max ns"
     "resizes";
   List.iter
     (fun r ->
       row "%-14s %10d %10d %12d %9d\n" r.policy r.p50_ns r.p999_ns r.max_ns
-        r.resizes)
+        r.resizes;
+      List.iter
+        (fun (suffix, value) ->
+          emit ~id:"E31" ~units:"ns" (e31_metric r.policy suffix)
+            (float_of_int (value r)))
+        e31_fields)
     rows;
   assert_e31 rows;
   row
@@ -655,13 +640,12 @@ let print_e31 () =
    minor words per lookup. *)
 
 let e33_domains = [ 1; 2; 4; 8 ]
-let e33_targets = [ "striped:sequent-19"; "epoch:table" ]
+let e33_targets = Parallel.Throughput.[ Striped_sequent 19; Epoch_table ]
 
 let e33 ~smoke () =
   let lookups_per_domain = if smoke then 20_000 else 100_000 in
   Parallel.Throughput.scaling_table ~lookups_per_domain ~seed:bench_seed
-    ~domains:e33_domains
-    Parallel.Throughput.[ Striped_sequent 19; Epoch_table ]
+    ~domains:e33_domains e33_targets
 
 let e33_read_path ~smoke () =
   let population = if smoke then 10_000 else 50_000 in
@@ -734,13 +718,16 @@ let assert_e33 results (mutex_delta, words_per_lookup) =
     exit 1
   end
 
-let print_e33 () =
-  section "E33 (extension): lock-free epoch reads vs striped locks";
-  let results = e33 ~smoke:false () in
+let run_e33 ~smoke ~(emit : emit) =
+  let results = e33 ~smoke () in
   Format.printf "%a" Parallel.Throughput.pp_results results;
-  let mutex_delta, words = e33_read_path ~smoke:false () in
+  emit_throughput ~emit ~id:"E33" results;
+  let mutex_delta, words = e33_read_path ~smoke () in
   row "warm read phase: %d mutex acquisitions, %.4f minor words/lookup\n"
     mutex_delta words;
+  emit ~id:"E33" ~units:"locks" "epoch.read_path.mutex_acquisitions"
+    (float_of_int mutex_delta);
+  emit ~id:"E33" ~units:"words" "epoch.read_path.minor_words_per_lookup" words;
   assert_e33 results (mutex_delta, words);
   row
     "Striping spreads the lock, it does not remove it: every lookup\n\
@@ -807,8 +794,6 @@ type e34_row = {
   e34_resizes : int;
 }
 
-let rec e34_pow2_at_least n c = if c >= n then c else e34_pow2_at_least n (c * 2)
-
 (* Smallest power-of-two slot count (>= the table's 8-slot minimum)
    that holds [n] flows under the 7/8 growth trigger: the denominator
    of the bytes/flow ratio.  Power-of-two capacity is part of the
@@ -816,7 +801,7 @@ let rec e34_pow2_at_least n c = if c >= n then c else e34_pow2_at_least n (c * 2
    power-of-two table, not a fictional perfectly-sized one. *)
 let e34_lower_bound_bytes n =
   let rec fit cap = if n * 8 <= cap * 7 then cap else fit (cap * 2) in
-  let cap = fit (e34_pow2_at_least 8 8) in
+  let cap = fit 8 in
   cap * Demux.Storage.Heap.bytes_per_slot
 
 let e34_measure (module M : Demux.Packed_table.S) ~total ~plateau =
@@ -890,18 +875,9 @@ let e34_measure (module M : Demux.Packed_table.S) ~total ~plateau =
        [resident0] >> 4096).  Warm once so the measured loop sees only
        steady-state finds. *)
     let base = !next - 4096 in
-    let key k = base + (k land 4095) in
-    for k = 0 to 999 do
-      let i = key k in
-      ignore (M.find table ~w0:i ~w1:(w1_of i))
-    done;
-    let lookups = 200_000 in
-    let before = Gc.minor_words () in
-    for k = 0 to lookups - 1 do
-      let i = key k in
-      ignore (M.find table ~w0:i ~w1:(w1_of i))
-    done;
-    (Gc.minor_words () -. before) /. float_of_int lookups
+    warm_words_per_lookup (fun k ->
+        let i = base + (k land 4095) in
+        ignore (M.find table ~w0:i ~w1:(w1_of i)))
   in
   (* The cycle-completion stall: what any caller of [Gc.full_major]
      (compaction, a checkpoint, heap diagnostics) pays while the table
@@ -946,6 +922,9 @@ let e34_run (module M : Demux.Packed_table.S) ~total ~plateau =
       Gc.compact ())
     (fun () -> e34_measure (module M : Demux.Packed_table.S) ~total ~plateau)
 
+let e34_backends : (module Demux.Packed_table.S) list =
+  [ (module Demux.Packed_table.Heap); (module Demux.Packed_table.Offheap) ]
+
 let e34 ~smoke () =
   (* The full ramp's resident population crosses 10M flows (total
      minus the 1-in-16 churn removes); smoke keeps the same shape at
@@ -953,9 +932,7 @@ let e34 ~smoke () =
      growth trigger (no resize inside timed windows). *)
   let total = if smoke then 110_000 else 10_700_000 in
   let plateau = if smoke then 40_000 else 2_000_000 in
-  let heap = e34_run (module Demux.Packed_table.Heap) ~total ~plateau in
-  let offheap = e34_run (module Demux.Packed_table.Offheap) ~total ~plateau in
-  [ heap; offheap ]
+  List.map (fun m -> e34_run m ~total ~plateau) e34_backends
 
 let assert_e34 ~smoke rows =
   let find backend =
@@ -1031,11 +1008,24 @@ let assert_e34 ~smoke rows =
     end
   end
 
-let print_e34 () =
-  section
-    "E34 (extension): off-heap vs heap slot storage at 10M flows, \
-     GC-exposed tail";
-  let rows = e34 ~smoke:false () in
+(* The records each backend yields: (metric suffix, units, value). *)
+let e34_fields =
+  let ns get = ("ns", fun r -> float_of_int (get r)) in
+  [ ("p50_ns", ns (fun r -> r.e34_p50_ns));
+    ("p999_ns", ns (fun r -> r.e34_p999_ns));
+    ("max_ns", ns (fun r -> r.e34_max_ns));
+    ("bytes_per_flow", ("bytes", fun r -> r.bytes_per_flow));
+    ("bytes_per_flow_ratio", ("", fun r -> r.bytes_ratio));
+    ("minor_pause_p50_ns", ns (fun r -> r.pause_p50_ns));
+    ("minor_pause_p99_ns", ns (fun r -> r.pause_p99_ns));
+    ("full_major_ns", ns (fun r -> r.full_major_ns));
+    ("warm_minor_words_per_lookup", ("words", fun r -> r.warm_words_per_lookup)) ]
+
+let e34_metric backend suffix =
+  Printf.sprintf "demux.storage.%s.%s" backend suffix
+
+let run_e34 ~smoke ~(emit : emit) =
+  let rows = e34 ~smoke () in
   row "%-10s %9s %9s %11s %8s %7s %11s %11s %10s %7s\n" "backend" "p50 ns"
     "p999 ns" "max ns" "B/flow" "ratio" "pause p50" "pause p99" "cycle ms"
     "words";
@@ -1045,9 +1035,13 @@ let print_e34 () =
         r.e34_p50_ns r.e34_p999_ns r.e34_max_ns r.bytes_per_flow r.bytes_ratio
         r.pause_p50_ns r.pause_p99_ns
         (float_of_int r.full_major_ns /. 1e6)
-        r.warm_words_per_lookup)
+        r.warm_words_per_lookup;
+      List.iter
+        (fun (suffix, (units, value)) ->
+          emit ~id:"E34" ~units (e34_metric r.backend suffix) (value r))
+        e34_fields)
     rows;
-  assert_e34 ~smoke:false rows;
+  assert_e34 ~smoke rows;
   row
     "Same Robin-Hood machinery, same untimed churn ramp to >10M\n\
      resident flows, then a timed steady-state plateau\n\
@@ -1270,22 +1264,18 @@ let e35 ~smoke () =
              trigger is crossed (targets stop short), so capacity —
              and the crafted-collision mask argument — is unchanged. *)
           if profile = "syn-flood" then begin
-            let flood_w0 j = (1 lsl 41) lor j in
-            let flat_target = (F.capacity flat * 7 / 8) - 8 in
-            let j = ref 0 in
-            while F.length flat < flat_target do
-              F.replace flat ~w0:(flood_w0 !j) ~w1:(e35_w1_of (!j + 7)) !j;
-              incr j
-            done;
-            let cuckoo_target =
-              (C.capacity cuckoo * 15 / 16)
-              - Demux.Cuckoo_table.stash_capacity - 8
+            let flood length replace target =
+              let j = ref 0 in
+              while length () < target do
+                replace ~w0:((1 lsl 41) lor !j) ~w1:(e35_w1_of (!j + 7)) !j;
+                incr j
+              done
             in
-            let j = ref 0 in
-            while C.length cuckoo < cuckoo_target do
-              C.replace cuckoo ~w0:(flood_w0 !j) ~w1:(e35_w1_of (!j + 7)) !j;
-              incr j
-            done
+            flood (fun () -> F.length flat) (F.replace flat)
+              ((F.capacity flat * 7 / 8) - 8);
+            flood (fun () -> C.length cuckoo) (C.replace cuckoo)
+              ((C.capacity cuckoo * 15 / 16)
+              - Demux.Cuckoo_table.stash_capacity - 8)
           end;
           let qw0, qw1 = e35_queries ~profile ~n ~seed:(bench_seed + n) in
           let cell algo mem probe =
@@ -1313,17 +1303,9 @@ let e35_warm_words (module M : Demux.Cuckoo_table.S) =
   for i = 0 to 4095 do
     M.replace table ~w0:i ~w1:(e35_w1_of i) i
   done;
-  for k = 0 to 999 do
-    let i = k land 4095 in
-    ignore (M.find table ~w0:i ~w1:(e35_w1_of i))
-  done;
-  let lookups = 200_000 in
-  let before = Gc.minor_words () in
-  for k = 0 to lookups - 1 do
-    let i = k land 4095 in
-    ignore (M.find table ~w0:i ~w1:(e35_w1_of i))
-  done;
-  (Gc.minor_words () -. before) /. float_of_int lookups
+  warm_words_per_lookup (fun k ->
+      let i = k land 4095 in
+      ignore (M.find table ~w0:i ~w1:(e35_w1_of i)))
 
 let assert_e35 rows (heap_words, offheap_words) =
   let cell algo profile n =
@@ -1383,23 +1365,46 @@ let assert_e35 rows (heap_words, offheap_words) =
       end)
     [ ("heap", heap_words); ("offheap", offheap_words) ]
 
-let print_e35 () =
-  section
-    "E35 (extension): flat Robin-Hood vs bucketized cuckoo under \
-     hostile lookup profiles";
-  let rows = e35 ~smoke:false () in
+(* The records each cell yields: (metric suffix, units, value). *)
+let e35_fields =
+  [ ("ns_per_lookup", "ns", fun r -> r.e35_ns);
+    ("probes_per_lookup", "probes", fun r -> r.e35_probes);
+    ("max_probes", "probes", fun r -> float_of_int r.e35_max_probes) ]
+
+let e35_metric algo profile n suffix =
+  Printf.sprintf "demux.e35.%s.%s.n%d.%s" algo profile n suffix
+
+let e35_warm_metric backend =
+  Printf.sprintf "demux.e35.cuckoo.%s.warm_minor_words_per_lookup" backend
+
+let e35_warm_backends : (string * (module Demux.Cuckoo_table.S)) list =
+  [ ("heap", (module Demux.Cuckoo_table.Heap));
+    ("offheap", (module Demux.Cuckoo_table.Offheap)) ]
+
+let run_e35 ~smoke ~(emit : emit) =
+  let rows = e35 ~smoke () in
   row "%-8s %-16s %9s %10s %10s %6s\n" "algo" "profile" "n" "ns/lookup"
     "probes" "max";
   List.iter
     (fun r ->
       row "%-8s %-16s %9d %10.1f %10.2f %6d\n" r.e35_algo r.e35_profile
-        r.e35_n r.e35_ns r.e35_probes r.e35_max_probes)
+        r.e35_n r.e35_ns r.e35_probes r.e35_max_probes;
+      List.iter
+        (fun (suffix, units, value) ->
+          emit ~id:"E35" ~units
+            (e35_metric r.e35_algo r.e35_profile r.e35_n suffix)
+            (value r))
+        e35_fields)
     rows;
-  let heap_words = e35_warm_words (module Demux.Cuckoo_table.Heap) in
-  let offheap_words = e35_warm_words (module Demux.Cuckoo_table.Offheap) in
-  row "warm cuckoo hit: %.4f minor words/lookup (heap), %.4f (offheap)\n"
-    heap_words offheap_words;
-  assert_e35 rows (heap_words, offheap_words);
+  let warm =
+    List.map (fun (backend, m) -> (backend, e35_warm_words m)) e35_warm_backends
+  in
+  List.iter
+    (fun (backend, words) ->
+      row "warm cuckoo hit (%s): %.4f minor words/lookup\n" backend words;
+      emit ~id:"E35" ~units:"words" (e35_warm_metric backend) words)
+    warm;
+  assert_e35 rows (List.assoc "heap" warm, List.assoc "offheap" warm);
   row
     "Hits are a wash — one filtered bucket vs a short Robin-Hood run\n\
      — but misses diverge: the flat walk lengthens with load and with\n\
@@ -1441,46 +1446,35 @@ let e36_gate ~label r =
     List.iter (fun v -> Printf.eprintf "  %s\n" v) violations;
     exit 1
 
+(* One pass over the trace, gated on conservation. *)
+let e36_run trace ~label config =
+  let r = Parallel.Smp.run config trace.Sim.Segment_workload.datagrams in
+  e36_gate ~label r;
+  r
+
 (* The scaling ladder: chain-affine steering, no migration, stage
    clocks off so the rate is the pipeline's own. *)
-let e36_scaling ~smoke () =
-  let trace = e36_trace ~smoke () in
+let e36_scaling trace =
   List.map
     (fun domains ->
-      let r =
-        Parallel.Smp.run
-          (Parallel.Smp.config ~domains ~local_addr:e36_server_addr ())
-          trace.Sim.Segment_workload.datagrams
-      in
-      e36_gate ~label:(Printf.sprintf "ladder at %d domains" domains) r;
-      (domains, r))
+      ( domains,
+        e36_run trace
+          ~label:(Printf.sprintf "ladder at %d domains" domains)
+          (Parallel.Smp.config ~domains ~local_addr:e36_server_addr ()) ))
     e36_domains
 
 (* The instrumented pass: stage histograms on, 4 domains. *)
-let e36_stages ~smoke () =
-  let trace = e36_trace ~smoke () in
-  let r =
-    Parallel.Smp.run
-      (Parallel.Smp.config ~stages:true ~domains:4
-         ~local_addr:e36_server_addr ())
-      trace.Sim.Segment_workload.datagrams
-  in
-  e36_gate ~label:"instrumented run" r;
-  r
+let e36_stages trace =
+  e36_run trace ~label:"instrumented run"
+    (Parallel.Smp.config ~stages:true ~domains:4 ~local_addr:e36_server_addr ())
 
 (* The migration pass: listener core accepts, every connection
    migrates, stragglers forward; conservation is the result. *)
-let e36_migrate ~smoke () =
-  let trace = e36_trace ~smoke () in
-  let r =
-    Parallel.Smp.run
-      (Parallel.Smp.config
-         ~demux:(Demux.Registry.Conn_id { capacity = 65536 })
-         ~migrate:true ~domains:4 ~local_addr:e36_server_addr ())
-      trace.Sim.Segment_workload.datagrams
-  in
-  e36_gate ~label:"migration run" r;
-  r
+let e36_migrate trace =
+  e36_run trace ~label:"migration run"
+    (Parallel.Smp.config
+       ~demux:(Demux.Registry.Conn_id { capacity = 65536 })
+       ~migrate:true ~domains:4 ~local_addr:e36_server_addr ())
 
 let e36_rate rows ~domains =
   match List.assoc_opt domains rows with
@@ -1533,33 +1527,60 @@ let assert_e36 rows (instrumented : Parallel.Smp.result)
        recorded, not enforced\n"
       threads
 
-let print_e36 () =
-  section
-    "E36 (extension): shared-nothing per-core TCP stacks with flow \
-     steering";
-  let rows = e36_scaling ~smoke:false () in
+
+let e36_ladder_metric domains = Printf.sprintf "smp.d%d.packets_per_s" domains
+
+let e36_stage_fields =
+  [ ("p50_ns", Obs.Histogram.p50); ("p99_ns", Obs.Histogram.p99) ]
+
+let e36_stage_metric name suffix = Printf.sprintf "smp.stage.%s.%s" name suffix
+
+(* The migration run's records: (name, units, value). *)
+let e36_migrate_fields =
+  [ ("handoffs", "flows", fun (r : Parallel.Smp.result) -> r.Parallel.Smp.handoffs);
+    ("forwarded", "segments", fun r -> r.Parallel.Smp.forwarded);
+    ("flushes", "flows", fun r -> r.Parallel.Smp.flushes);
+    ("violations", "count", fun r -> List.length (Parallel.Smp.violations r)) ]
+
+let e36_migrate_metric name = "smp.migrate." ^ name
+
+let run_e36 ~smoke ~(emit : emit) =
+  let trace = e36_trace ~smoke () in
+  let rows = e36_scaling trace in
   row "%-10s %14s %12s %10s\n" "domains" "pkts/s" "delivered" "handoffs";
   List.iter
     (fun (d, (r : Parallel.Smp.result)) ->
       row "%-10d %14.0f %12d %10d\n" d r.Parallel.Smp.packets_per_s
-        r.Parallel.Smp.total r.Parallel.Smp.handoffs)
+        r.Parallel.Smp.total r.Parallel.Smp.handoffs;
+      emit ~id:"E36" ~units:"pkts/s" (e36_ladder_metric d)
+        r.Parallel.Smp.packets_per_s)
     rows;
-  let instrumented = e36_stages ~smoke:false () in
+  let instrumented = e36_stages trace in
   row "per-stage latency (4 domains, every datagram):\n";
   List.iter
     (fun name ->
       match List.assoc_opt name instrumented.Parallel.Smp.stages with
       | Some h ->
         row "  %-8s p50 %6d ns   p99 %8d ns\n" name (Obs.Histogram.p50 h)
-          (Obs.Histogram.p99 h)
+          (Obs.Histogram.p99 h);
+        List.iter
+          (fun (suffix, value) ->
+            emit ~id:"E36" ~units:"ns" (e36_stage_metric name suffix)
+              (float_of_int (value h)))
+          e36_stage_fields
       | None -> ())
     e36_stage_names;
-  let migrated = e36_migrate ~smoke:false () in
+  let migrated = e36_migrate trace in
   row
     "migration: %d handoffs, %d stragglers forwarded, %d flushes, \
      conservation exact\n"
     migrated.Parallel.Smp.handoffs migrated.Parallel.Smp.forwarded
     migrated.Parallel.Smp.flushes;
+  List.iter
+    (fun (name, units, value) ->
+      emit ~id:"E36" ~units (e36_migrate_metric name)
+        (float_of_int (value migrated)))
+    e36_migrate_fields;
   assert_e36 rows instrumented migrated;
   row
     "Each domain owns its connection table, timer wheel and demux\n\
@@ -1569,8 +1590,7 @@ let print_e36 () =
      message-passing handoff with exact segment accounting, not a\n\
      shared structure.\n"
 
-let print_hash_ablation () =
-  section "Ablation: hash-function chain balance (DESIGN.md section 6)";
+let run_hash_ablation () =
   let flows = Array.to_list (Sim.Topology.flows 2000) in
   row "%-16s %9s %7s %9s %9s\n" "hash" "max-load" "cv" "chi2" "E[scan]";
   List.iter
@@ -1581,235 +1601,217 @@ let print_hash_ablation () =
         q.Hashing.Quality.chi_square q.Hashing.Quality.expected_search_cost)
     Hashing.Hashers.all
 
+(* Wall-clock sanity check: PCBs examined is the paper's surrogate for
+   time, so ns per lookup should rank the algorithms the same way.
+   Steady-state OLTP lookups — 2,000 established connections looked up
+   in a fixed pseudo-random order — timed with E29's best-of-trials
+   direct loop. *)
+let run_wallclock ~smoke ~emit:_ =
+  let flows = Sim.Topology.flows 2000 in
+  let rng = Numerics.Rng.create ~seed:bench_seed in
+  let order = Array.init 65536 (fun _ -> Numerics.Rng.int rng ~bound:2000) in
+  let lookups = if smoke then 2_000 else 20_000 in
+  row "%-16s %12s %12s %13s\n" "algorithm" "PCBs/lookup" "ns/lookup"
+    "words/lookup";
+  List.iter
+    (fun spec ->
+      let demux = Demux.Registry.create spec in
+      Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
+      let run count =
+        for k = 0 to count - 1 do
+          ignore (demux.Demux.Registry.lookup flows.(order.(k land 65535)))
+        done
+      in
+      run 1_000;
+      Demux.Lookup_stats.reset demux.Demux.Registry.stats;
+      let ns, words = measure_lookups ~trials:3 ~lookups run in
+      row "%-16s %12.1f %12.1f %13.4f\n" demux.Demux.Registry.name
+        (Demux.Lookup_stats.mean_examined
+           (Demux.Lookup_stats.snapshot demux.Demux.Registry.stats))
+        ns words)
+    Demux.Registry.
+      [ Linear; Bsd; Mtf; Sr_cache; sequent 19; sequent 100; hashed_mtf_19;
+        Conn_id { capacity = 2048 }; Resizing_hash; Splay ];
+  row
+    "An order-of-magnitude gap in PCBs examined is an order-of-magnitude\n\
+     gap in time.\n"
+
+(* ------------------------------------------------------------------ *)
+(* The experiment table                                                *)
+
+(* [id] is what --only selects.  [expects] lists the (record id,
+   metric) pairs --check requires; an entry that expects records is one
+   --smoke runs, so the CI smoke file always carries them. *)
+type experiment = {
+  id : string;
+  title : string;
+  run : smoke:bool -> emit:emit -> unit;
+  expects : (string * string) list;
+}
+
+(* An entry that only prints: the paper-reproduction tables that carry
+   no records and so run only in a full pass. *)
+let printed id title f =
+  { id; title; run = (fun ~smoke:_ ~emit:_ -> f ()); expects = [] }
+
+let under id metrics = List.map (fun metric -> (id, metric)) metrics
+let each xs f = List.concat_map f xs
+
+let experiments =
+  [ printed "E1" "E1 / Figure 4: N(T) for 2,000 TPC/A users" run_e1;
+    { id = "E2";
+      title = "E2/E3: BSD cost and packet-train probability (Section 3.1)";
+      run = run_e2_e3;
+      expects =
+        [ ("E2", "analysis.bsd.cost"); ("E3", "analysis.bsd.train_probability") ]
+    };
+    printed "E4" "E4/E5/E6: move-to-front costs (Section 3.2)" run_e4_e6;
+    { id = "E7"; title = "E7: send/receive cache overall cost (Section 3.3, Eq 17)";
+      run = run_e7; expects = [ ("E7", "analysis.sr-cache.cost") ] };
+    { id = "E8"; title = "E8-E11: Sequent hashed chains (Section 3.4)";
+      run = run_e8_e11;
+      expects =
+        [ ("E10", "analysis.sequent-19.cost");
+          ("E11", "analysis.sequent-100.cost") ] };
+    printed "E12" "E12 / Figure 13: algorithm comparison, 0-10,000 connections"
+      run_e12_e13;
+    { id = "E14";
+      title =
+        "E14: simulation vs analysis (TPC/A, 1,000 users, 150 s; smoke 200 \
+         users, 20 s)";
+      run = run_e14;
+      expects =
+        under "E14"
+          (List.map
+             (fun spec -> e14_metric (Demux.Registry.spec_name spec))
+             Demux.Registry.default_specs) };
+    printed "E15" "E15: deterministic polling is MTF's worst case (Section 3.2)"
+      run_e15;
+    printed "E16" "E16: packet trains redeem the BSD cache (Section 1)" run_e16;
+    printed "E17"
+      "E17: hashing + move-to-front vs simply more chains (Section 3.5)" run_e17;
+    printed "E18"
+      "E18: connection-ID direct indexing (Section 3.5 counterfactual)" run_e18;
+    printed "E19" "E19: delayed acknowledgements (paper footnote 2)" run_e19;
+    printed "E20" "E20: the hit-ratio pitfall (Section 3.4, chatty clients)"
+      run_e20;
+    printed "E21" "E21 (extension): splay tree vs hashed chains" run_e21;
+    printed "E22" "E22 (extension): parallel TCP, the paper's context [Dov90]"
+      run_e22;
+    printed "E23" "E23: mixed OLTP + bulk traffic (the abstract's full claim)"
+      run_e23;
+    printed "E24" "E24 (extension): would a bigger cache have saved BSD?" run_e24;
+    printed "E25"
+      "E25 (extension): think-time shape ablation (Section 3.2's caveat)" run_e25;
+    { id = "E28";
+      title =
+        "E28 (extension): batched demultiplexing amortises the stripe locks";
+      run = run_e28;
+      expects =
+        (let domains, batches = e28_grid ~smoke:true in
+         let target = Parallel.Throughput.target_name e28_target in
+         under "E28"
+           (each domains (fun d -> List.map (throughput_metric target d) batches)))
+    };
+    (* E29's flat <= chained bar runs wherever E29 does, so the CI
+       smoke run fails loudly on a hot-path regression; the coverage
+       keeps every flat/chained series at every population, or the
+       dashboard's regression series silently goes dark. *)
+    { id = "E29";
+      title =
+        "E29 (extension): flat PCB table vs chained Sequent, warm lookups";
+      run = run_e29;
+      expects =
+        under "E29"
+          (each e29_populations (fun n -> List.map (e29_metric n) e29_fields))
+    };
+    (* Both growing policies plus the pre-sized control, all three tail
+       points. *)
+    { id = "E31";
+      title =
+        "E31 (extension): insert-latency tail under growth, incremental vs \
+         doubling";
+      run = run_e31;
+      expects =
+        under "E31"
+          (each e31_policies (fun (policy, _, _) ->
+               List.map (fun (suffix, _) -> e31_metric policy suffix) e31_fields))
+    };
+    (* Both targets at every rung of the domain ladder, plus the two
+       read-path guarantee records. *)
+    { id = "E33"; title = "E33 (extension): lock-free epoch reads vs striped locks";
+      run = run_e33;
+      expects =
+        under "E33"
+          (each e33_domains (fun d ->
+               List.map
+                 (fun target ->
+                   throughput_metric (Parallel.Throughput.target_name target) d 1)
+                 e33_targets)
+          @ [ "epoch.read_path.mutex_acquisitions";
+              "epoch.read_path.minor_words_per_lookup" ]) };
+    (* Both backends, every metric — the off-heap claim is untestable
+       against history if either side of the comparison goes dark. *)
+    { id = "E34";
+      title =
+        "E34 (extension): off-heap vs heap slot storage at 10M flows, \
+         GC-exposed tail";
+      run = run_e34;
+      expects =
+        under "E34"
+          (each e34_backends (fun (module M : Demux.Packed_table.S) ->
+               List.map (fun (suffix, _) -> e34_metric M.backend suffix) e34_fields))
+    };
+    (* Both algorithms, every profile and population, plus the warm-hit
+       allocation records — the SYN-flood claim needs the flat side of
+       the comparison as much as the cuckoo side. *)
+    { id = "E35";
+      title =
+        "E35 (extension): flat Robin-Hood vs bucketized cuckoo under \
+         hostile lookup profiles";
+      run = run_e35;
+      expects =
+        under "E35"
+          (each [ "flat"; "cuckoo" ] (fun algo ->
+               each e35_profiles (fun profile ->
+                   each e35_populations (fun n ->
+                       List.map
+                         (fun (suffix, _, _) -> e35_metric algo profile n suffix)
+                         e35_fields)))
+          @ List.map (fun (backend, _) -> e35_warm_metric backend)
+              e35_warm_backends) };
+    (* The ladder at every rung, the five-stage breakdown and the
+       migration records — the SMP claim is only auditable with the
+       scaling curve AND the exact-handoff evidence side by side. *)
+    { id = "E36";
+      title =
+        "E36 (extension): shared-nothing per-core TCP stacks with flow \
+         steering";
+      run = run_e36;
+      expects =
+        under "E36"
+          (List.map e36_ladder_metric e36_domains
+          @ each e36_stage_names (fun name ->
+                List.map (fun (suffix, _) -> e36_stage_metric name suffix)
+                  e36_stage_fields)
+          @ List.map (fun (name, _, _) -> e36_migrate_metric name)
+              e36_migrate_fields) };
+    printed "ablation"
+      "Ablation: hash-function chain balance (DESIGN.md section 6)"
+      run_hash_ablation;
+    { id = "wallclock";
+      title = "Wall-clock sanity check: lookups over 2,000 connections";
+      run = run_wallclock; expects = [] } ]
+
 (* ------------------------------------------------------------------ *)
 (* JSON record layer (BENCH_demux.json, schema tcpdemux-bench/1)       *)
 
-let records : Obs.Json.t list ref = ref []
-
-let emit ~id ~metric ?(units = "") value =
-  records :=
-    Obs.Json.Obj
-      [ ("id", Obs.Json.String id); ("metric", Obs.Json.String metric);
-        ("value", Obs.Json.Float value); ("units", Obs.Json.String units);
-        ("seed", Obs.Json.Int bench_seed) ]
-    :: !records
-
-(* The figures of merit a regression checker wants, one record each:
-   the analytic headline numbers (instant) and a simulation pass over
-   the paper's four algorithms with an obs registry attached, so
-   examined-count percentiles ride along.  [smoke] shrinks the
-   simulated population and window for CI. *)
-let collect_records ~smoke =
-  let p = default_params in
-  emit ~id:"E2" ~metric:"analysis.bsd.cost" ~units:"pcbs"
-    (Analysis.Bsd_model.cost p);
-  emit ~id:"E3" ~metric:"analysis.bsd.train_probability"
-    (Analysis.Bsd_model.train_probability p);
-  emit ~id:"E7" ~metric:"analysis.sr-cache.cost" ~units:"pcbs"
-    (Analysis.Srcache_model.overall_cost p);
-  emit ~id:"E10" ~metric:"analysis.sequent-19.cost" ~units:"pcbs"
-    (Analysis.Sequent_model.cost p ~chains:19);
-  emit ~id:"E11" ~metric:"analysis.sequent-100.cost" ~units:"pcbs"
-    (Analysis.Sequent_model.cost p ~chains:100);
-  let users = if smoke then 200 else 1000 in
-  let duration = if smoke then 20.0 else 150.0 in
-  let sim_params = Analysis.Tpca_params.v ~users () in
-  let config =
-    Sim.Tpca_workload.default_config ~duration ~seed:bench_seed sim_params
-  in
-  let obs = Obs.Registry.create () in
-  List.iter
-    (fun spec ->
-      let name = Demux.Registry.spec_name spec in
-      let report = Sim.Tpca_workload.run ~obs config spec in
-      emit ~id:"E14" ~metric:("sim.tpca." ^ name ^ ".overall_mean")
-        ~units:"pcbs" report.Sim.Report.overall_mean)
-    Demux.Registry.default_specs;
-  List.iter
-    (fun metric ->
-      match metric.Obs.Registry.data with
-      | Obs.Registry.Histogram (summary, _) ->
-        emit ~id:"E27" ~metric:(metric.Obs.Registry.name ^ ".p50")
-          ~units:metric.Obs.Registry.units
-          (float_of_int summary.Obs.Histogram.p50);
-        emit ~id:"E27" ~metric:(metric.Obs.Registry.name ^ ".p99")
-          ~units:metric.Obs.Registry.units
-          (float_of_int summary.Obs.Histogram.p99)
-      | Obs.Registry.Counter _ | Obs.Registry.Gauge _ -> ())
-    (Obs.Registry.snapshot obs);
-  (* E28: batched vs per-packet parallel lookup throughput, striped
-     table at 4 domains — the regression bar is that batch 64 beats
-     batch 1. *)
-  let lookups_per_domain = if smoke then 20_000 else 100_000 in
-  List.iter
-    (fun (r : Parallel.Throughput.result) ->
-      emit ~id:"E28"
-        ~metric:
-          (Printf.sprintf "parallel.%s.d%d.b%d.lookups_per_s"
-             r.Parallel.Throughput.target r.Parallel.Throughput.domains
-             r.Parallel.Throughput.batch)
-        ~units:"lookups/s" r.Parallel.Throughput.lookups_per_second)
-    (Parallel.Throughput.scaling_table ~lookups_per_domain ~seed:bench_seed
-       ~domains:[ 4 ] ~batches:[ 1; 64 ]
-       Parallel.Throughput.[ Striped_sequent 19 ]);
-  (* E29: flat vs chained per-lookup wall clock and minor allocation,
-     with the flat <= chained acceptance bar enforced in-line so a CI
-     smoke run fails loudly on a hot-path regression. *)
-  let rows = e29 ~smoke () in
-  List.iter
-    (fun r ->
-      emit ~id:"E29"
-        ~metric:
-          (Printf.sprintf "demux.chained.sequent-19.n%d.ns_per_lookup" r.n)
-        ~units:"ns" r.chained_ns;
-      emit ~id:"E29"
-        ~metric:
-          (Printf.sprintf "demux.chained.sequent-19.n%d.minor_words_per_lookup"
-             r.n)
-        ~units:"words" r.chained_words;
-      emit ~id:"E29"
-        ~metric:(Printf.sprintf "demux.flat.n%d.ns_per_lookup" r.n)
-        ~units:"ns" r.flat_ns;
-      emit ~id:"E29"
-        ~metric:(Printf.sprintf "demux.flat.n%d.minor_words_per_lookup" r.n)
-        ~units:"words" r.flat_words)
-    rows;
-  assert_e29 rows;
-  (* E31: resize-policy latency-tail records, with the flat-tail bar
-     enforced in-line like E29's. *)
-  let e31_rows = e31 ~smoke () in
-  List.iter
-    (fun r ->
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.p50_ns" r.policy)
-        ~units:"ns" (float_of_int r.p50_ns);
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.p999_ns" r.policy)
-        ~units:"ns" (float_of_int r.p999_ns);
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.max_ns" r.policy)
-        ~units:"ns" (float_of_int r.max_ns))
-    e31_rows;
-  assert_e31 e31_rows;
-  (* E33: striped vs epoch read scaling across the domain ladder, plus
-     the two lock-free read-path guarantee records, with the
-     epoch-leads-at-8-domains bar enforced in-line. *)
-  let e33_results = e33 ~smoke () in
-  List.iter
-    (fun (r : Parallel.Throughput.result) ->
-      emit ~id:"E33"
-        ~metric:
-          (Printf.sprintf "parallel.%s.d%d.b%d.lookups_per_s"
-             r.Parallel.Throughput.target r.Parallel.Throughput.domains
-             r.Parallel.Throughput.batch)
-        ~units:"lookups/s" r.Parallel.Throughput.lookups_per_second)
-    e33_results;
-  let mutex_delta, words_per_lookup = e33_read_path ~smoke () in
-  emit ~id:"E33" ~metric:"epoch.read_path.mutex_acquisitions" ~units:"locks"
-    (float_of_int mutex_delta);
-  emit ~id:"E33" ~metric:"epoch.read_path.minor_words_per_lookup"
-    ~units:"words" words_per_lookup;
-  assert_e33 e33_results (mutex_delta, words_per_lookup);
-  (* E34: heap vs off-heap slot storage under the GC-exposed churn
-     ramp, with the three storage gates (tail, bytes/flow, warm-hit
-     allocation) enforced in-line like the others. *)
-  let e34_rows = e34 ~smoke () in
-  List.iter
-    (fun r ->
-      let metric suffix =
-        Printf.sprintf "demux.storage.%s.%s" r.backend suffix
-      in
-      emit ~id:"E34" ~metric:(metric "p50_ns") ~units:"ns"
-        (float_of_int r.e34_p50_ns);
-      emit ~id:"E34" ~metric:(metric "p999_ns") ~units:"ns"
-        (float_of_int r.e34_p999_ns);
-      emit ~id:"E34" ~metric:(metric "max_ns") ~units:"ns"
-        (float_of_int r.e34_max_ns);
-      emit ~id:"E34" ~metric:(metric "bytes_per_flow") ~units:"bytes"
-        r.bytes_per_flow;
-      emit ~id:"E34" ~metric:(metric "bytes_per_flow_ratio") r.bytes_ratio;
-      emit ~id:"E34" ~metric:(metric "minor_pause_p50_ns") ~units:"ns"
-        (float_of_int r.pause_p50_ns);
-      emit ~id:"E34" ~metric:(metric "minor_pause_p99_ns") ~units:"ns"
-        (float_of_int r.pause_p99_ns);
-      emit ~id:"E34" ~metric:(metric "full_major_ns") ~units:"ns"
-        (float_of_int r.full_major_ns);
-      emit ~id:"E34" ~metric:(metric "warm_minor_words_per_lookup")
-        ~units:"words" r.warm_words_per_lookup)
-    e34_rows;
-  assert_e34 ~smoke e34_rows;
-  (* E35: flat vs cuckoo under the four lookup profiles, full-size
-     populations even under smoke (only the timed windows shrink),
-     with the miss-heavy and structural-bound gates enforced
-     in-line. *)
-  let e35_rows = e35 ~smoke () in
-  List.iter
-    (fun r ->
-      let metric suffix =
-        Printf.sprintf "demux.e35.%s.%s.n%d.%s" r.e35_algo r.e35_profile
-          r.e35_n suffix
-      in
-      emit ~id:"E35" ~metric:(metric "ns_per_lookup") ~units:"ns" r.e35_ns;
-      emit ~id:"E35" ~metric:(metric "probes_per_lookup") ~units:"probes"
-        r.e35_probes;
-      emit ~id:"E35" ~metric:(metric "max_probes") ~units:"probes"
-        (float_of_int r.e35_max_probes))
-    e35_rows;
-  let e35_heap_words = e35_warm_words (module Demux.Cuckoo_table.Heap) in
-  let e35_offheap_words =
-    e35_warm_words (module Demux.Cuckoo_table.Offheap)
-  in
-  emit ~id:"E35"
-    ~metric:"demux.e35.cuckoo.heap.warm_minor_words_per_lookup"
-    ~units:"words" e35_heap_words;
-  emit ~id:"E35"
-    ~metric:"demux.e35.cuckoo.offheap.warm_minor_words_per_lookup"
-    ~units:"words" e35_offheap_words;
-  assert_e35 e35_rows (e35_heap_words, e35_offheap_words);
-  (* E36: the shared-nothing ladder at every rung, the per-stage
-     latency breakdown, and the migration-conservation records, with
-     the stage/conservation bars (and, on >=8 hardware threads, the
-     scaling bar) enforced in-line. *)
-  let e36_rows = e36_scaling ~smoke () in
-  List.iter
-    (fun (d, (r : Parallel.Smp.result)) ->
-      emit ~id:"E36"
-        ~metric:(Printf.sprintf "smp.d%d.packets_per_s" d)
-        ~units:"pkts/s" r.Parallel.Smp.packets_per_s)
-    e36_rows;
-  let e36_instrumented = e36_stages ~smoke () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name e36_instrumented.Parallel.Smp.stages with
-      | Some h ->
-        emit ~id:"E36"
-          ~metric:(Printf.sprintf "smp.stage.%s.p50_ns" name)
-          ~units:"ns"
-          (float_of_int (Obs.Histogram.p50 h));
-        emit ~id:"E36"
-          ~metric:(Printf.sprintf "smp.stage.%s.p99_ns" name)
-          ~units:"ns"
-          (float_of_int (Obs.Histogram.p99 h))
-      | None -> ())
-    e36_stage_names;
-  let e36_migrated = e36_migrate ~smoke () in
-  emit ~id:"E36" ~metric:"smp.migrate.handoffs" ~units:"flows"
-    (float_of_int e36_migrated.Parallel.Smp.handoffs);
-  emit ~id:"E36" ~metric:"smp.migrate.forwarded" ~units:"segments"
-    (float_of_int e36_migrated.Parallel.Smp.forwarded);
-  emit ~id:"E36" ~metric:"smp.migrate.flushes" ~units:"flows"
-    (float_of_int e36_migrated.Parallel.Smp.flushes);
-  emit ~id:"E36" ~metric:"smp.migrate.violations" ~units:"count"
-    (float_of_int
-       (List.length (Parallel.Smp.violations e36_migrated)));
-  assert_e36 e36_rows e36_instrumented e36_migrated
-
-let write_records path =
+let write_records path records =
   Obs.Json.write_file path
     (Obs.Json.Obj
        [ ("schema", Obs.Json.String "tcpdemux-bench/1");
-         ("records", Obs.Json.List (List.rev !records)) ]);
-  Printf.printf "wrote %d benchmark records to %s\n" (List.length !records)
+         ("records", Obs.Json.List records) ]);
+  Printf.printf "wrote %d benchmark records to %s\n" (List.length records)
     path
 
 (* Schema sanity for --check: fail loudly (exit 1) on anything a
@@ -1832,6 +1834,7 @@ let check_records path =
     | None -> fail "records is not a list"
     | Some [] -> fail "records is empty"
     | Some items ->
+      let present = Hashtbl.create 256 in
       List.iteri
         (fun index item ->
           let where name =
@@ -1842,533 +1845,124 @@ let check_records path =
             | Some s -> s
             | None -> fail (where name)
           in
-          if str "id" = "" then fail (where "id");
-          if str "metric" = "" then fail (where "metric");
+          let id = str "id" and metric = str "metric" in
+          if id = "" then fail (where "id");
+          if metric = "" then fail (where "metric");
           ignore (str "units");
           (match field "value" item Obs.Json.to_float_opt with
           | Some value when Float.is_finite value -> ()
           | Some _ | None -> fail (where "value"));
-          match field "seed" item Obs.Json.to_int_opt with
+          (match field "seed" item Obs.Json.to_int_opt with
           | Some _ -> ()
-          | None -> fail (where "seed"))
+          | None -> fail (where "seed"));
+          Hashtbl.replace present (id, metric) item)
         items;
-      (* Coverage gate for the perf-trajectory records: every E29
-         flat/chained metric must be present at every population, or
-         the dashboard's regression series silently goes dark. *)
-      let e29_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E29" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
+      (* Coverage gate: every record an experiment declares must be
+         present, or its regression series silently goes dark. *)
+      let expected = List.concat_map (fun e -> e.expects) experiments in
       List.iter
-        (fun n ->
-          List.iter
-            (fun family ->
-              List.iter
-                (fun suffix ->
-                  let want = Printf.sprintf "demux.%s.n%d.%s" family n suffix in
-                  if not (List.mem want e29_metrics) then
-                    fail (Printf.sprintf "missing E29 record %s" want))
-                [ "ns_per_lookup"; "minor_words_per_lookup" ])
-            [ "flat"; "chained.sequent-19" ])
-        e29_populations;
-      (* Same gate for the E31 resize-tail series: both growing
-         policies plus the pre-sized control, all three tail points. *)
-      let e31_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E31" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun policy ->
-          List.iter
-            (fun suffix ->
-              let want =
-                Printf.sprintf "demux.resize.%s.%s" policy suffix
-              in
-              if not (List.mem want e31_metrics) then
-                fail (Printf.sprintf "missing E31 record %s" want))
-            [ "p50_ns"; "p999_ns"; "max_ns" ])
-        [ "incremental"; "doubling"; "presized" ];
-      (* And the E33 scaling series: both targets at every rung of the
-         domain ladder, plus the two read-path guarantee records. *)
-      let e33_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E33" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun domains ->
-          List.iter
-            (fun target ->
-              let want =
-                Printf.sprintf "parallel.%s.d%d.b1.lookups_per_s" target
-                  domains
-              in
-              if not (List.mem want e33_metrics) then
-                fail (Printf.sprintf "missing E33 record %s" want))
-            e33_targets)
-        e33_domains;
-      List.iter
-        (fun want ->
-          if not (List.mem want e33_metrics) then
-            fail (Printf.sprintf "missing E33 record %s" want))
-        [ "epoch.read_path.mutex_acquisitions";
-          "epoch.read_path.minor_words_per_lookup" ];
-      (* And the E34 storage series: both backends, all eight metrics
-         — the off-heap claim is untestable against history if any
-         side of the comparison goes dark. *)
-      let e34_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E34" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun suffix ->
-              let want =
-                Printf.sprintf "demux.storage.%s.%s" backend suffix
-              in
-              if not (List.mem want e34_metrics) then
-                fail (Printf.sprintf "missing E34 record %s" want))
-            [ "p50_ns"; "p999_ns"; "max_ns"; "bytes_per_flow";
-              "bytes_per_flow_ratio"; "minor_pause_p50_ns";
-              "minor_pause_p99_ns"; "full_major_ns";
-              "warm_minor_words_per_lookup" ])
-        [ "heap"; "offheap" ];
-      (* And the E35 adversarial-profile grid: both algorithms, every
-         profile and population, all three metrics, plus the two
-         warm-hit allocation records — the SYN-flood claim needs the
-         flat side of the comparison as much as the cuckoo side. *)
-      let e35_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E35" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun algo ->
-          List.iter
-            (fun profile ->
-              List.iter
-                (fun n ->
-                  List.iter
-                    (fun suffix ->
-                      let want =
-                        Printf.sprintf "demux.e35.%s.%s.n%d.%s" algo
-                          profile n suffix
-                      in
-                      if not (List.mem want e35_metrics) then
-                        fail (Printf.sprintf "missing E35 record %s" want))
-                    [ "ns_per_lookup"; "probes_per_lookup"; "max_probes" ])
-                e35_populations)
-            e35_profiles)
-        [ "flat"; "cuckoo" ];
-      List.iter
-        (fun want ->
-          if not (List.mem want e35_metrics) then
-            fail (Printf.sprintf "missing E35 record %s" want))
-        [ "demux.e35.cuckoo.heap.warm_minor_words_per_lookup";
-          "demux.e35.cuckoo.offheap.warm_minor_words_per_lookup" ];
-      (* And the E36 shared-nothing series: the packets/sec ladder at
-         every rung, the five-stage latency breakdown, and the
-         migration-conservation records — the SMP claim is only
-         auditable with the scaling curve AND the exact-handoff
-         evidence side by side. *)
-      let e36_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E36" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun domains ->
-          let want = Printf.sprintf "smp.d%d.packets_per_s" domains in
-          if not (List.mem want e36_metrics) then
-            fail (Printf.sprintf "missing E36 record %s" want))
-        e36_domains;
-      List.iter
-        (fun name ->
-          List.iter
-            (fun suffix ->
-              let want = Printf.sprintf "smp.stage.%s.%s" name suffix in
-              if not (List.mem want e36_metrics) then
-                fail (Printf.sprintf "missing E36 record %s" want))
-            [ "p50_ns"; "p99_ns" ])
-        e36_stage_names;
-      List.iter
-        (fun want ->
-          if not (List.mem want e36_metrics) then
-            fail (Printf.sprintf "missing E36 record %s" want))
-        [ "smp.migrate.handoffs"; "smp.migrate.forwarded";
-          "smp.migrate.flushes"; "smp.migrate.violations" ];
-      (match
-         List.find_opt
-           (fun item ->
-             field "id" item Obs.Json.to_string_opt = Some "E36"
-             && field "metric" item Obs.Json.to_string_opt
-                = Some "smp.migrate.violations")
-           items
-       with
-      | Some item ->
-        (match field "value" item Obs.Json.to_float_opt with
-        | Some 0. -> ()
-        | Some v ->
-          fail
-            (Printf.sprintf
-               "E36 migration conservation violated (%d violations)"
-               (int_of_float v))
-        | None -> fail "E36 smp.migrate.violations is not a number")
-      | None -> ());
+        (fun ((id, metric) as want) ->
+          if not (Hashtbl.mem present want) then
+            fail (Printf.sprintf "missing %s record %s" id metric))
+        expected;
+      Option.iter
+        (fun item ->
+          match field "value" item Obs.Json.to_float_opt with
+          | Some 0. -> ()
+          | Some v ->
+            fail
+              (Printf.sprintf
+                 "E36 migration conservation violated (%d violations)"
+                 (int_of_float v))
+          | None -> fail "E36 smp.migrate.violations is not a number")
+        (Hashtbl.find_opt present ("E36", "smp.migrate.violations"));
       Printf.printf
-        "%s: %d records (E29 + E31 + E33 + E34 + E35 + E36 coverage \
-         ok, migration conservation ok), schema ok\n"
-        path (List.length items))
+        "%s: %d records (all %d declared records present, migration \
+         conservation ok), schema ok\n"
+        path (List.length items) (List.length expected))
 
 (* The differential-check gate: --check refuses to bless a benchmark
    run unless a passing tcpdemux-check/1 report sits next to it —
    perf numbers from tables the oracle has not cleared are not
-   results. *)
-let check_check_report path =
-  match Check.Report.validate_file path with
-  | Ok () -> Printf.printf "%s: tcpdemux-check/1 ok\n" path
+   results.  The chaos gate has the same posture: a benchmark run is
+   only blessed when the pipeline survived the fault scenarios with a
+   clean replay audit. *)
+let check_report ~schema ~command validate path =
+  match validate path with
+  | Ok () -> Printf.printf "%s: %s ok\n" path schema
   | Error message ->
-    Printf.eprintf
-      "%s: %s\n(run `tcpdemux check --smoke --json %s` first)\n" path message
-      path;
+    Printf.eprintf "%s: %s\n(run `tcpdemux %s --smoke --json %s` first)\n"
+      path message command path;
     exit 1
-
-(* The chaos gate, same posture: a benchmark run is only blessed when
-   the pipeline survived the fault scenarios with a clean replay
-   audit. *)
-let check_chaos_report path =
-  match Check.Chaos.validate_file path with
-  | Ok () -> Printf.printf "%s: tcpdemux-chaos/1 ok\n" path
-  | Error message ->
-    Printf.eprintf
-      "%s: %s\n(run `tcpdemux chaos --smoke --json %s` first)\n" path message
-      path;
-    exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel layer                                                      *)
-
-open Bechamel
-open Toolkit
-
-let lookup_test spec =
-  (* Steady-state OLTP lookup: 2,000 established connections, lookups
-     arriving user-by-user in a fixed pseudo-random order. *)
-  let demux = Demux.Registry.create spec in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  let order = Array.init 65536 (fun _ -> 0) in
-  let rng = Numerics.Rng.create ~seed:9 in
-  Array.iteri (fun i _ -> order.(i) <- Numerics.Rng.int rng ~bound:2000) order;
-  let cursor = ref 0 in
-  Test.make
-    ~name:(Demux.Registry.spec_name spec)
-    (Staged.stage (fun () ->
-         let i = !cursor in
-         cursor := (i + 1) land 65535;
-         ignore (demux.Demux.Registry.lookup flows.(order.(i)))))
-
-let churn_test spec =
-  (* Connection lifecycle cost: insert a fresh flow, look it up twice,
-     remove it — over a table already holding 1000 stable flows. *)
-  let demux = Demux.Registry.create spec in
-  let stable = Sim.Topology.flows 1000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) stable;
-  let cursor = ref 1000 in
-  Test.make
-    ~name:(Demux.Registry.spec_name spec)
-    (Staged.stage (fun () ->
-         let flow = Sim.Topology.flow_of_client !cursor in
-         cursor := 1000 + ((!cursor - 999) mod 60000);
-         ignore (demux.Demux.Registry.insert flow ());
-         ignore (demux.Demux.Registry.lookup flow);
-         ignore (demux.Demux.Registry.lookup flow);
-         ignore (demux.Demux.Registry.remove flow)))
-
-let churn_tests =
-  Test.make_grouped ~name:"churn"
-    (List.map churn_test
-       Demux.Registry.
-         [ Bsd; Mtf;
-           Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Conn_id { capacity = 65536 }; Resizing_hash; Splay ])
-
-let hash_test hasher =
-  let key = Packet.Flow.to_key_bytes (Sim.Topology.flow_of_client 123) in
-  Test.make
-    ~name:(Hashing.Hashers.name hasher)
-    (Staged.stage (fun () -> ignore (Hashing.Hashers.hash hasher key)))
-
-let wire_test () =
-  (* Parse + demultiplex a realistic 52-byte query segment. *)
-  let demux =
-    Demux.Registry.create
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-  in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  let flow = flows.(777) in
-  let wire =
-    Packet.Segment.to_bytes
-      (Packet.Segment.make ~src:flow.Packet.Flow.remote
-         ~dst:flow.Packet.Flow.local ~flags:Packet.Tcp_header.flag_psh_ack
-         ~payload:"BEGIN TXN 42" ())
-  in
-  Test.make ~name:"parse+lookup"
-    (Staged.stage (fun () ->
-         match Packet.Segment.parse wire ~off:0 with
-         | Ok segment ->
-           ignore (demux.Demux.Registry.lookup (Packet.Segment.flow segment))
-         | Error message -> failwith message))
-
-let regen_tests =
-  (* One Test.make per table/figure: how long regenerating each
-     experiment's data takes. *)
-  Test.make_grouped ~name:"regen"
-    [ Test.make ~name:"E1-fig4" (Staged.stage (fun () -> ignore (e1_figure4 ())));
-      Test.make ~name:"E2-E3-bsd" (Staged.stage (fun () -> ignore (e2_e3 ())));
-      Test.make ~name:"E4-E6-mtf" (Staged.stage (fun () -> ignore (e4_e6 ())));
-      Test.make ~name:"E7-srcache" (Staged.stage (fun () -> ignore (e7 ())));
-      Test.make ~name:"E8-E11-sequent"
-        (Staged.stage (fun () -> ignore (e8_e11 ())));
-      Test.make ~name:"E12-fig13"
-        (Staged.stage (fun () -> ignore (e12_figure13 ())));
-      Test.make ~name:"E13-fig14"
-        (Staged.stage (fun () -> ignore (e13_figure14 ()))) ]
-
-let lookup_tests =
-  Test.make_grouped ~name:"lookup"
-    (List.map lookup_test
-       Demux.Registry.
-         [ Linear; Bsd; Mtf; Sr_cache;
-           Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Sequent { chains = 100; hasher = Hashing.Hashers.multiplicative };
-           Hashed_mtf { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Conn_id { capacity = 2048 }; Resizing_hash; Splay ])
-
-let hash_tests =
-  Test.make_grouped ~name:"hash" (List.map hash_test Hashing.Hashers.all)
-
-(* Observability overhead: the acceptance bar is that a sequent-19
-   lookup with the examined-count histogram attached stays well under
-   2x the bare lookup, and that a disabled tracer is free. *)
-let obs_lookup_test ~name ~with_histogram =
-  let demux =
-    Demux.Registry.create
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-  in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  if with_histogram then
-    Demux.Lookup_stats.set_histogram demux.Demux.Registry.stats
-      (Some (Obs.Histogram.create ()));
-  let order = Array.init 65536 (fun _ -> 0) in
-  let rng = Numerics.Rng.create ~seed:9 in
-  Array.iteri (fun i _ -> order.(i) <- Numerics.Rng.int rng ~bound:2000) order;
-  let cursor = ref 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let i = !cursor in
-         cursor := (i + 1) land 65535;
-         ignore (demux.Demux.Registry.lookup flows.(order.(i)))))
-
-let obs_tests =
-  let histogram = Obs.Histogram.create () in
-  let ring = Obs.Trace.create ~capacity:4096 () in
-  Test.make_grouped ~name:"obs"
-    [ obs_lookup_test ~name:"sequent-19-bare" ~with_histogram:false;
-      obs_lookup_test ~name:"sequent-19+histogram" ~with_histogram:true;
-      Test.make ~name:"histogram-record"
-        (Staged.stage (fun () -> Obs.Histogram.record histogram 17));
-      Test.make ~name:"trace-disabled"
-        (Staged.stage (fun () ->
-             Obs.Trace.record Obs.Trace.disabled Obs.Trace.Cache_hit 1 2));
-      Test.make ~name:"trace-enabled"
-        (Staged.stage (fun () ->
-             Obs.Trace.record ring Obs.Trace.Cache_hit 1 2)) ]
-
-(* Batched-pipeline hot pieces, single-domain so bechamel sees the
-   per-call cost: 64 per-packet lookups vs one 64-flow lookup_batch
-   over the same striped table, and a ring push+pop round trip. *)
-let batch_tests =
-  let striped = Parallel.Striped.create ~chains:19 () in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (Parallel.Striped.insert striped flow ())) flows;
-  let rng = Numerics.Rng.create ~seed:9 in
-  let burst =
-    Array.init 64 (fun _ -> flows.(Numerics.Rng.int rng ~bound:2000))
-  in
-  let ring = Parallel.Ring.create ~capacity:8 in
-  Test.make_grouped ~name:"batch"
-    [ Test.make ~name:"striped-lookup-x64"
-        (Staged.stage (fun () ->
-             Array.iter
-               (fun flow -> ignore (Parallel.Striped.lookup striped flow))
-               burst));
-      Test.make ~name:"striped-lookup_batch-64"
-        (Staged.stage (fun () ->
-             ignore (Parallel.Striped.lookup_batch striped burst)));
-      Test.make ~name:"ring-push+pop"
-        (Staged.stage (fun () ->
-             ignore (Parallel.Ring.try_push ring burst);
-             ignore (Parallel.Ring.try_pop ring))) ]
-
-let run_bechamel ~smoke () =
-  section "bechamel wall-clock microbenchmarks";
-  let tests =
-    Test.make_grouped ~name:"tcpdemux"
-      (if smoke then [ obs_tests; batch_tests ]
-       else
-         [ lookup_tests; churn_tests; hash_tests; wire_test (); regen_tests;
-           obs_tests; batch_tests ])
-  in
-  let cfg =
-    if smoke then Benchmark.cfg ~limit:500 ~quota:(Time.second 0.05) ~kde:None ()
-    else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  row "%-40s %14s %8s\n" "benchmark" "ns/op" "r^2";
-  List.iter
-    (fun (name, result) ->
-      let nanoseconds =
-        match Analyze.OLS.estimates result with
-        | Some [ estimate ] -> Printf.sprintf "%14.1f" estimate
-        | Some _ | None -> Printf.sprintf "%14s" "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Printf.sprintf "%8.4f" r
-        | None -> Printf.sprintf "%8s" "-"
-      in
-      row "%-40s %s %s\n" name nanoseconds r2)
-    rows
 
 (* ------------------------------------------------------------------ *)
 
 let usage () =
-  prerr_endline
-    "usage: bench [--smoke] [--e34] [--e35] [--json FILE] [--check FILE] \
+  Printf.eprintf
+    "usage: bench [--smoke] [--only ID[,ID...]] [--json FILE] [--check FILE] \
      [--check-report FILE] [--chaos-report FILE]\n\
-     \  --smoke      small populations and windows (CI)\n\
-     \  --e34        run only the E34 off-heap storage ramp (10M flows,\n\
-     \               ~minutes and ~1 GB resident) and exit\n\
-     \  --e35        run only the E35 flat-vs-cuckoo adversarial lookup\n\
-     \               grid (three populations to 1M flows) and exit\n\
-     \  --e36        run only the E36 shared-nothing per-core stack\n\
-     \               ladder (throughput, stage breakdown, migration)\n\
-     \               and exit\n\
-     \  --json FILE  write tcpdemux-bench/1 records to FILE\n\
-     \  --check FILE validate a records file (plus the tcpdemux-check/1\n\
-     \               report, --check-report, default check.json, and the\n\
-     \               tcpdemux-chaos/1 report, --chaos-report, default\n\
-     \               chaos.json) and exit";
+     \  --smoke        small populations and windows; runs only the\n\
+     \                 entries whose records --check requires (CI)\n\
+     \  --only IDS     run only these comma-separated entries, of:\n\
+     \                 %s\n\
+     \                 (E34 at full size: ~minutes, ~1 GB resident)\n\
+     \  --json FILE    write the run's tcpdemux-bench/1 records to FILE\n\
+     \  --check FILE   validate a records file (plus the tcpdemux-check/1\n\
+     \                 report, --check-report, default check.json, and the\n\
+     \                 tcpdemux-chaos/1 report, --chaos-report, default\n\
+     \                 chaos.json) and exit\n"
+    (String.concat " " (List.map (fun e -> e.id) experiments));
   exit 2
 
 let () =
-  let smoke = ref false and json = ref None and check = ref None in
-  let only_e34 = ref false in
-  let only_e35 = ref false in
-  let only_e36 = ref false in
-  let check_report = ref "check.json" in
-  let chaos_report = ref "chaos.json" in
+  let smoke = ref false and only = ref None in
+  let json = ref None and check = ref None in
+  let check_path = ref "check.json" and chaos_path = ref "chaos.json" in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest -> smoke := true; parse rest
-    | "--e34" :: rest -> only_e34 := true; parse rest
-    | "--e35" :: rest -> only_e35 := true; parse rest
-    | "--e36" :: rest -> only_e36 := true; parse rest
+    | "--only" :: ids :: rest ->
+      only := Some (String.split_on_char ',' ids); parse rest
     | "--json" :: path :: rest -> json := Some path; parse rest
     | "--check" :: path :: rest -> check := Some path; parse rest
-    | "--check-report" :: path :: rest -> check_report := path; parse rest
-    | "--chaos-report" :: path :: rest -> chaos_report := path; parse rest
+    | "--check-report" :: path :: rest -> check_path := path; parse rest
+    | "--chaos-report" :: path :: rest -> chaos_path := path; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   match !check with
   | Some path ->
     check_records path;
-    check_check_report !check_report;
-    check_chaos_report !chaos_report
-  | None when !only_e34 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e34 ();
-    print_endline "\ndone."
-  | None when !only_e35 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e35 ();
-    print_endline "\ndone."
-  | None when !only_e36 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e36 ();
-    print_endline "\ndone."
+    check_report ~schema:"tcpdemux-check/1" ~command:"check"
+      Check.Report.validate_file !check_path;
+    check_report ~schema:"tcpdemux-chaos/1" ~command:"chaos"
+      Check.Chaos.validate_file !chaos_path
   | None ->
+    let selected =
+      match !only with
+      | Some ids ->
+        List.iter
+          (fun id ->
+            if not (List.exists (fun e -> e.id = id) experiments) then begin
+              Printf.eprintf "bench: unknown experiment id %S\n" id;
+              usage ()
+            end)
+          ids;
+        List.filter (fun e -> List.mem e.id ids) experiments
+      | None when !smoke -> List.filter (fun e -> e.expects <> []) experiments
+      | None -> experiments
+    in
     print_endline
       "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    if not !smoke then begin
-      print_e1 ();
-      print_e2_e3 ();
-      print_e4_e6 ();
-      print_e7 ();
-      print_e8_e11 ();
-      print_e12_e13 ();
-      print_e14 ();
-      print_e15 ();
-      print_e16 ();
-      print_e17 ();
-      print_e18 ();
-      print_e19 ();
-      print_e20 ();
-      print_e21 ();
-      print_e22 ();
-      print_e23 ();
-      print_e24 ();
-      print_e25 ();
-      print_e28 ();
-      print_e29 ();
-      print_e31 ();
-      print_e33 ();
-      print_e34 ();
-      print_e35 ();
-      print_e36 ();
-      print_hash_ablation ()
-    end;
-    (match !json with
-    | Some path ->
-      collect_records ~smoke:!smoke;
-      write_records path
-    | None -> ());
-    run_bechamel ~smoke:!smoke ();
+    let records = ref [] in
+    let emit ~id ?(units = "") metric value =
+      records :=
+        Obs.Json.Obj
+          [ ("id", Obs.Json.String id); ("metric", Obs.Json.String metric);
+            ("value", Obs.Json.Float value); ("units", Obs.Json.String units);
+            ("seed", Obs.Json.Int bench_seed) ]
+        :: !records
+    in
+    List.iter (fun e -> section e.title; e.run ~smoke:!smoke ~emit) selected;
+    Option.iter (fun path -> write_records path (List.rev !records)) !json;
     print_endline "\ndone."

@@ -722,9 +722,10 @@ let pipeline_stream flows ~packets ~seed =
   Array.init packets (fun _ ->
       flows.(Parallel.Worker_rng.int rng ~bound:(Array.length flows)))
 
-let run_pipeline ?obs ?tracer ~workers ~batch ~connections ~packets ~seed () =
+let run_pipeline ~chains ?obs ?tracer ~workers ~batch ~connections ~packets
+    ~seed () =
   let flows = parallel_flows connections in
-  let table = Parallel.Striped.create ~chains:19 () in
+  let table = Parallel.Striped.create ~chains () in
   Array.iter (fun flow -> ignore (Parallel.Striped.insert table flow ())) flows;
   let stream = pipeline_stream flows ~packets ~seed in
   Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
@@ -826,9 +827,12 @@ let run_smp ~domains ~migrate ~smoke ~seed obs_json =
     with Sys_error message -> `Error (false, message))
   end
 
-let run_parallel targets domains batches connections lookups pipeline epoch
-    offheap cuckoo smp migrate smoke seed obs_json trace_file trace_capacity =
-  if smp then run_smp ~domains ~migrate ~smoke ~seed obs_json
+let run_parallel targets domains batches connections lookups pipeline smp
+    migrate smoke seed obs_json trace_file trace_capacity =
+  if migrate && not smp then `Error (false, "--migrate requires --smp")
+  else if smp && trace_file <> None then
+    `Error (false, "--trace is not supported with --smp")
+  else if smp then run_smp ~domains ~migrate ~smoke ~seed obs_json
   else
   let rec parse acc = function
     | [] -> Ok (List.rev acc)
@@ -846,29 +850,6 @@ let run_parallel targets domains batches connections lookups pipeline epoch
   match parse [] targets with
   | Error message -> `Error (false, message)
   | Ok targets ->
-    (* --epoch: measure the lock-free table alongside whatever else was
-       asked for, and run the dispatcher pipeline over it too. *)
-    let targets =
-      if epoch && not (List.mem Parallel.Throughput.Epoch_table targets) then
-        targets @ [ Parallel.Throughput.Epoch_table ]
-      else targets
-    in
-    (* --offheap: likewise for the Bigarray-backed epoch table. *)
-    let targets =
-      if
-        offheap
-        && not (List.mem Parallel.Throughput.Offheap_epoch targets)
-      then targets @ [ Parallel.Throughput.Offheap_epoch ]
-      else targets
-    in
-    (* --cuckoo: likewise for the bucketized cuckoo table (read-only
-       concurrent probes over a pre-populated table). *)
-    let targets =
-      if
-        cuckoo && not (List.mem Parallel.Throughput.Cuckoo_table targets)
-      then targets @ [ Parallel.Throughput.Cuckoo_table ]
-      else targets
-    in
     if List.exists (fun d -> d <= 0) domains then
       `Error (false, "--domains must all be positive")
     else if List.exists (fun b -> b <= 0) batches then
@@ -931,17 +912,28 @@ let run_parallel targets domains batches connections lookups pipeline epoch
               batches)
           domains
       in
-      if pipeline then begin
-        pipeline_pass ~label:"striped" run_pipeline;
-        if epoch then
-          pipeline_pass ~label:"epoch-table"
-            (run_pipeline_epoch (module Epoch.Packed.Heap)
-               ~prefix:"epoch.table");
-        if offheap then
-          pipeline_pass ~label:"offheap-epoch-table"
-            (run_pipeline_epoch (module Epoch.Packed.Offheap)
-               ~prefix:"epoch.packed")
-      end;
+      (* The dispatcher pass runs over every selected target that has
+         a keyed batch lookup; [prefix] names each epoch table's
+         metrics. *)
+      if pipeline then
+        List.iter
+          (fun target ->
+            let label = Parallel.Throughput.target_name target in
+            match target with
+            | Parallel.Throughput.Striped_sequent chains ->
+              pipeline_pass ~label (run_pipeline ~chains)
+            | Parallel.Throughput.Epoch_table ->
+              pipeline_pass ~label
+                (run_pipeline_epoch (module Epoch.Packed.Heap)
+                   ~prefix:"epoch.table")
+            | Parallel.Throughput.Offheap_epoch ->
+              pipeline_pass ~label
+                (run_pipeline_epoch (module Epoch.Packed.Offheap)
+                   ~prefix:"epoch.packed")
+            | Parallel.Throughput.Coarse_bsd
+            | Parallel.Throughput.Coarse_sequent _
+            | Parallel.Throughput.Cuckoo_table -> ())
+          targets;
       (try
          (match (obs_json, obs) with
          | Some path, Some obs ->
@@ -981,9 +973,14 @@ let parallel_cmd =
       & info [ "t"; "targets" ] ~docv:"TARGETS"
           ~doc:
             "Comma-separated targets: coarse:bsd, coarse:sequent[-H], \
-             striped:sequent[-H], epoch (the lock-free epoch table), \
-             epoch:offheap (the same protocol over Bigarray storage), \
-             cuckoo (the bucketized cuckoo table, read-only probes).")
+             striped:sequent[-H], epoch (the lock-free heap epoch table, \
+             Epoch.Packed.Heap), epoch:offheap (the same protocol over \
+             Bigarray storage, Epoch.Packed.Offheap), cuckoo (the \
+             bucketized cuckoo table, populated before the domains spawn \
+             and then probed read-only).  The pipeline runs over the \
+             striped, epoch and epoch:offheap targets; with --obs-json \
+             the epoch tables' reclamation and per-operation counters \
+             land in the snapshot as epoch.table.* and epoch.packed.*.")
   in
   let domains =
     Arg.(
@@ -1017,40 +1014,9 @@ let parallel_cmd =
       & info [ "pipeline" ]
           ~doc:
             "Also run the dispatcher pipeline (flow-hash sharding into \
-             bounded SPSC rings feeding striped workers) for each \
-             (domains, batch) pair.")
-  in
-  let epoch =
-    Arg.(
-      value & flag
-      & info [ "epoch" ]
-          ~doc:
-            "Add the lock-free heap epoch table (Epoch.Packed.Heap) to \
-             the measured targets, and — when the pipeline runs — drive \
-             the dispatcher over it as well; with --obs-json, its \
-             epoch.table.* reclamation and per-operation counters land in \
-             the snapshot.")
-  in
-  let offheap =
-    Arg.(
-      value & flag
-      & info [ "offheap" ]
-          ~doc:
-            "Add the Bigarray-backed epoch table (Epoch.Packed.Offheap) \
-             to the measured targets, and — when the pipeline runs — \
-             drive the dispatcher over it as well; with --obs-json, its \
-             epoch.packed.* counters (including resident storage bytes) \
-             land in the snapshot.")
-  in
-  let cuckoo =
-    Arg.(
-      value & flag
-      & info [ "cuckoo" ]
-          ~doc:
-            "Add the bucketized cuckoo table (Demux.Cuckoo_table) to the \
-             measured targets: populated before the domains spawn, then \
-             probed read-only, so worst-case lookup cost stays two \
-             buckets plus the stash under any load.")
+             bounded SPSC rings feeding worker domains) for each \
+             (domains, batch) pair, over every selected target with a \
+             keyed batch lookup: striped, epoch and epoch:offheap.")
   in
   let smp =
     Arg.(
@@ -1071,7 +1037,7 @@ let parallel_cmd =
       value & flag
       & info [ "migrate" ]
           ~doc:
-            "With --smp: accept every connection on the listener core \
+            "Requires --smp: accept every connection on the listener core \
              (domain 0) and migrate it to another core mid-trace — \
              route-map override plus in-flight segment forwarding, with \
              exact handoff accounting.")
@@ -1091,7 +1057,7 @@ let parallel_cmd =
     Term.(
       ret
         (const run_parallel $ targets $ domains $ batches $ connections
-        $ lookups $ pipeline $ epoch $ offheap $ cuckoo $ smp $ migrate
+        $ lookups $ pipeline $ smp $ migrate
         $ smoke $ seed_arg $ obs_json_arg $ trace_file_arg
         $ trace_capacity_arg))
 
