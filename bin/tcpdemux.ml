@@ -703,20 +703,6 @@ let parse_target name =
           striped:sequent-19, epoch, epoch:offheap, cuckoo)"
          name)
 
-(* The same synthetic flow population Throughput builds internally,
-   reused here to feed the dispatcher pipeline a packet stream. *)
-let parallel_flows connections =
-  Array.init connections (fun i ->
-      let addr =
-        Packet.Ipv4.addr_of_octets 10
-          ((i lsr 16) land 0xFF)
-          ((i lsr 8) land 0xFF)
-          (i land 0xFF)
-      in
-      Packet.Flow.v
-        ~local:(Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 192 168 1 1) 8888)
-        ~remote:(Packet.Flow.endpoint addr (1024 + (i * 7 mod 60000))))
-
 let pipeline_stream flows ~packets ~seed =
   let rng = Parallel.Worker_rng.create seed in
   Array.init packets (fun _ ->
@@ -724,24 +710,25 @@ let pipeline_stream flows ~packets ~seed =
 
 let run_pipeline ~chains ?obs ?tracer ~workers ~batch ~connections ~packets
     ~seed () =
-  let flows = parallel_flows connections in
+  let flows = Sim.Topology.flows connections in
   let table = Parallel.Striped.create ~chains () in
   Array.iter (fun flow -> ignore (Parallel.Striped.insert table flow ())) flows;
   let stream = pipeline_stream flows ~packets ~seed in
   Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-    ~lookup_batch:(fun flows ~hashes ->
+    ~hash:(Hashing.Hashers.hash_flow Hashing.Hashers.multiplicative)
+    ~consume:(fun ~worker:_ flows ~hashes ->
       Parallel.Striped.lookup_batch_keyed table flows ~hashes)
     stream
 
 (* The same dispatcher pipeline over a lock-free epoch table: workers
    demultiplex each batch through Epoch.Packed.lookup_batch_keyed (one
-   epoch pin per batch, zero mutex acquisitions).  The dispatcher's
-   default hasher matches the table's Flow_key.hash_words, so the
+   epoch pin per batch, zero mutex acquisitions).  The multiplicative
+   flow hash matches the table's Flow_key.hash_words, so the
    precomputed shard hashes are reusable as probe hashes.  Values are
    the flow's load index; [prefix] names the table's metrics. *)
 let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
     ~workers ~batch ~connections ~packets ~seed () =
-  let flows = parallel_flows connections in
+  let flows = Sim.Topology.flows connections in
   let table = E.create () in
   E.load table
     (Array.mapi
@@ -752,7 +739,8 @@ let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
   let stream = pipeline_stream flows ~packets ~seed in
   let result =
     Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-      ~lookup_batch:(fun flows ~hashes ->
+      ~hash:(Hashing.Hashers.hash_flow Hashing.Hashers.multiplicative)
+      ~consume:(fun ~worker:_ flows ~hashes ->
         E.lookup_batch_keyed table flows ~hashes)
       stream
   in

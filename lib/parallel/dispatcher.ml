@@ -4,7 +4,6 @@ type result = {
   packets : int;
   found : int;
   batches : int;
-  dropped_packets : int;
   tier_dropped_packets : int;
   rejected_packets : int;
   max_ring_depth : int;
@@ -13,46 +12,17 @@ type result = {
   per_worker_packets : int array;
 }
 
-(* One worker's drain loop: pop batches until the ring is closed AND
-   empty.  A push can land between a failed pop and the close check,
-   and close is published after the last push, so after observing
-   [is_closed] one more drain pass sees everything. *)
-let worker_loop ring lookup_batch =
-  let found = ref 0 and packets = ref 0 in
-  let consume (batch, hashes) =
-    packets := !packets + Array.length batch;
-    found := !found + lookup_batch batch ~hashes
-  in
-  let rec drain () =
-    match Ring.try_pop ring with
-    | Some batch -> consume batch; drain ()
-    | None -> ()
-  in
-  let rec loop () =
-    match Ring.try_pop ring with
-    | Some batch -> consume batch; loop ()
-    | None ->
-      if Ring.is_closed ring then drain ()
-      else begin
-        Domain.cpu_relax ();
-        loop ()
-      end
-  in
-  loop ();
-  (!packets, !found)
-
-let run ?obs ?(tracer = Obs.Trace.disabled)
-    ?(hasher = Hashing.Hashers.multiplicative) ?(ring_capacity = 64)
-    ?(drop_on_full = false) ?pressure ~workers ~batch ~lookup_batch packets =
+let run ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
+    ?(pace = ignore) ~hash ~workers ~batch ~consume items =
   if workers <= 0 then invalid_arg "Dispatcher.run: workers <= 0";
   if batch <= 0 then invalid_arg "Dispatcher.run: batch <= 0";
   if ring_capacity <= 0 then invalid_arg "Dispatcher.run: ring_capacity <= 0";
-  let total = Array.length packets in
+  let total = Array.length items in
   if total = 0 then invalid_arg "Dispatcher.run: empty packet stream";
   let rings = Array.init workers (fun _ -> Ring.create ~capacity:ring_capacity) in
   (* Observability, matching lib/obs conventions: a batch-size
-     histogram and a ring-depth histogram (sampled at each push), a
-     backpressure drop counter, and a max-depth gauge. *)
+     histogram and a ring-depth histogram (sampled at each push), and a
+     max-depth gauge. *)
   let batch_histogram =
     Option.map
       (fun obs ->
@@ -69,14 +39,10 @@ let run ?obs ?(tracer = Obs.Trace.disabled)
           "pipeline.ring_depth")
       obs
   in
-  let dropped = ref 0 and batches = ref 0 and max_depth = ref 0 in
+  let batches = ref 0 and max_depth = ref 0 in
   let tier_dropped = ref 0 and rejected = ref 0 in
   Option.iter
     (fun obs ->
-      Obs.Registry.register_counter obs
-        ~help:"packets dropped because the destination ring stayed full"
-        ~name:"pipeline.backpressure_drops"
-        (fun () -> !dropped);
       Obs.Registry.register_gauge obs ~units:"batches"
         ~help:"deepest worker-ring occupancy observed by the dispatcher"
         ~name:"pipeline.ring_depth_max"
@@ -85,90 +51,58 @@ let run ?obs ?(tracer = Obs.Trace.disabled)
   let counts = Array.make workers (0, 0) in
   let domains =
     Array.init workers (fun w ->
-        Domain.spawn (fun () -> counts.(w) <- worker_loop rings.(w) lookup_batch))
+        Domain.spawn (fun () ->
+            let found = ref 0 and packets = ref 0 in
+            Ring.consume rings.(w) (fun (batch, hashes) ->
+                packets := !packets + Array.length batch;
+                found := !found + consume ~worker:w batch ~hashes);
+            counts.(w) <- (!packets, !found)))
   in
-  let buffers = Array.init workers (fun _ -> Array.make batch packets.(0)) in
-  (* Each packet's full flow hash, computed once at dispatch and
-     shipped with the batch so downstream stages (stripe grouping in
+  let buffers = Array.init workers (fun _ -> Array.make batch items.(0)) in
+  (* Each item's full hash, computed once at dispatch and shipped with
+     the batch so downstream stages (stripe grouping in
      [Striped.lookup_batch_keyed]) never re-derive it. *)
   let hash_buffers = Array.init workers (fun _ -> Array.make batch 0) in
   let fills = Array.make workers 0 in
   let started = Obs.Clock.now_ns () in
-  (* Ship worker [w]'s partial buffer as one immutable batch.  The
-     pressure tier gates the push: at [Reject] the batch is refused
-     before the ring is even tried; at [Drop_batches] a full ring drops
-     the batch instead of blocking (a tier-attributed drop, counted
-     separately from the explicit [drop_on_full] mode); below that the
-     original semantics apply. *)
+  (* Ship worker [w]'s partial buffer as one immutable batch, through
+     the pressure tier gate. *)
   let flush w =
     let fill = fills.(w) in
     if fill > 0 then begin
       fills.(w) <- 0;
-      match pressure with
-      | Some p when Pressure.rejecting p ->
-        Pressure.note_rejected p ~packets:fill;
-        rejected := !rejected + fill;
-        (* Still sample the destination ring: the workers keep
-           draining while the producer sheds, and without a load
-           signal the controller would never observe the calm run it
-           needs to leave Reject. *)
-        let ring = rings.(w) in
-        Pressure.note_ring_depth p ~depth:(Ring.length ring)
-          ~capacity:(Ring.capacity ring)
-      | _ ->
-        let batch_array =
-          if fill = batch then
-            (Array.copy buffers.(w), Array.copy hash_buffers.(w))
-          else (Array.sub buffers.(w) 0 fill, Array.sub hash_buffers.(w) 0 fill)
-        in
-        let ring = rings.(w) in
-        let depth = Ring.length ring in
+      let shipment =
+        if fill = batch then
+          (Array.copy buffers.(w), Array.copy hash_buffers.(w))
+        else (Array.sub buffers.(w) 0 fill, Array.sub hash_buffers.(w) 0 fill)
+      in
+      let ring = rings.(w) in
+      let depth = Ring.length ring in
+      match Pressure.offer pressure ring shipment ~packets:fill with
+      | `Rejected -> rejected := !rejected + fill
+      | verdict ->
         if depth > !max_depth then max_depth := depth;
         Option.iter (fun h -> Obs.Histogram.record h depth) depth_histogram;
-        Option.iter
-          (fun p ->
-            Pressure.note_ring_depth p ~depth ~capacity:(Ring.capacity ring))
-          pressure;
-        let shipped fill w =
+        if verdict = `Dropped then tier_dropped := !tier_dropped + fill
+        else begin
           incr batches;
           Option.iter (fun h -> Obs.Histogram.record h fill) batch_histogram;
           Obs.Trace.record tracer Obs.Trace.Batch fill w
-        in
-        if Ring.try_push ring batch_array then shipped fill w
-        else begin
-          let tier_drop =
-            match pressure with
-            | Some p -> Pressure.drops_batches p
-            | None -> false
-          in
-          if tier_drop then begin
-            (match pressure with
-            | Some p -> Pressure.note_dropped_batch p ~packets:fill
-            | None -> ());
-            tier_dropped := !tier_dropped + fill
-          end
-          else if drop_on_full then dropped := !dropped + fill
-          else begin
-            (* Backpressure: the worker is behind; wait for space. *)
-            while not (Ring.try_push ring batch_array) do
-              Domain.cpu_relax ()
-            done;
-            shipped fill w
-          end
         end
     end
   in
-  (* RSS: shard every packet by flow hash, so one connection's packets
+  (* RSS: shard every item by its hash, so one connection's packets
      always reach the same worker (per-stripe caches stay warm and no
      two workers contend on one connection's stripe).  The hash is
-     computed exactly once per packet, here; the worker index is its
+     computed exactly once per item, here; the worker index is its
      reduction mod workers (identical sharding to [bucket_flow]) and
      the full value ships with the batch. *)
   for i = 0 to total - 1 do
-    let flow = packets.(i) in
-    let h = Hashing.Hashers.hash_flow hasher flow in
+    pace i;
+    let item = items.(i) in
+    let h = hash item in
     let w = h mod workers in
-    buffers.(w).(fills.(w)) <- flow;
+    buffers.(w).(fills.(w)) <- item;
     hash_buffers.(w).(fills.(w)) <- h;
     fills.(w) <- fills.(w) + 1;
     if fills.(w) = batch then flush w
@@ -184,15 +118,14 @@ let run ?obs ?(tracer = Obs.Trace.disabled)
   let delivered = Array.fold_left (fun a (p, _) -> a + p) 0 counts in
   let found = Array.fold_left (fun a (_, f) -> a + f) 0 counts in
   { workers; batch; packets = total; found; batches = !batches;
-    dropped_packets = !dropped; tier_dropped_packets = !tier_dropped;
+    tier_dropped_packets = !tier_dropped;
     rejected_packets = !rejected; max_ring_depth = !max_depth;
     elapsed_seconds = elapsed;
     packets_per_second =
       (if elapsed > 0.0 then float_of_int delivered /. elapsed else 0.0);
     per_worker_packets = Array.map fst counts }
 
-let lost_packets r =
-  r.dropped_packets + r.tier_dropped_packets + r.rejected_packets
+let lost_packets r = r.tier_dropped_packets + r.rejected_packets
 
 let pp ppf r =
   Format.fprintf ppf

@@ -2,26 +2,26 @@
     worker domains through bounded SPSC rings.
 
     This is the software shape of hardware RSS (receive-side scaling):
-    the dispatcher hashes each inbound packet's flow and sends it to
+    the dispatcher hashes each inbound item's flow and sends it to
     the worker that owns that hash shard, so all of a connection's
     packets meet the same worker — per-chain caches stay warm and no
-    two workers ever contend on one connection.  Packets travel in
-    {e batches}: the dispatcher accumulates up to [batch] packets per
-    worker before pushing, and workers demultiplex each batch through
-    a [lookup_batch] closure ({!Striped.lookup_batch} /
+    two workers ever contend on one connection.  Items travel in
+    {e batches}: the dispatcher accumulates up to [batch] items per
+    worker before pushing, and workers handle each batch through a
+    [consume] closure (for lookups, {!Striped.lookup_batch_keyed} /
     {!Coarse.lookup_batch}), which takes each stripe mutex once per
     batch rather than once per packet — batching is what amortises the
     synchronisation and memory traffic that dominate per-packet lookup
     cost.
 
-    The rings are bounded, so a slow worker surfaces as backpressure:
-    by default the dispatcher spins until space frees (lossless); with
-    [drop_on_full] it sheds the batch and counts the packets dropped,
-    the way a NIC rx queue overflows.  With a {!Pressure} controller
-    attached, degradation is tiered instead of binary: ring occupancy
+    Workers drain their rings with {!Ring.consume}; every push goes
+    through {!Pressure.offer}.  The rings are bounded, so a slow
+    worker surfaces as backpressure: without a controller the
+    dispatcher waits for space (lossless).  With a {!Pressure}
+    controller attached, degradation is tiered instead: ring occupancy
     feeds the controller, and at [Drop_batches] or worse a full ring
-    sheds the batch (attributed to the tier), while at [Reject] batches
-    are refused before the ring is tried at all. *)
+    sheds the batch (attributed to the tier), while at [Reject]
+    batches are refused before the ring is tried at all. *)
 
 type result = {
   workers : int;
@@ -29,7 +29,6 @@ type result = {
   packets : int;              (** Packets offered to the dispatcher. *)
   found : int;                (** Lookups that found their PCB. *)
   batches : int;              (** Batches actually pushed. *)
-  dropped_packets : int;      (** Shed on full rings ([drop_on_full]). *)
   tier_dropped_packets : int; (** Shed on full rings at [Drop_batches]. *)
   rejected_packets : int;     (** Refused outright at [Reject]. *)
   max_ring_depth : int;       (** Deepest ring occupancy observed. *)
@@ -39,47 +38,48 @@ type result = {
 }
 
 val lost_packets : result -> int
-(** [dropped_packets + tier_dropped_packets + rejected_packets]: every
+(** [tier_dropped_packets + rejected_packets]: every
     offered packet is either delivered to a worker or counted here —
     the conservation law the chaos harness audits. *)
 
 val run :
-  ?obs:Obs.Registry.t -> ?tracer:Obs.Trace.t ->
-  ?hasher:Hashing.Hashers.t -> ?ring_capacity:int -> ?drop_on_full:bool ->
-  ?pressure:Pressure.t ->
-  workers:int -> batch:int ->
-  lookup_batch:(Packet.Flow.t array -> hashes:int array -> int) ->
-  Packet.Flow.t array -> result
-(** [run ~workers ~batch ~lookup_batch packets] spawns [workers]
-    domains, shards [packets] across them in batches of [batch], joins
-    them all, and reports.  [lookup_batch] must be safe to call from
-    any domain (the parallel demultiplexers' batch APIs are).
+  ?obs:Obs.Registry.t -> ?tracer:Obs.Trace.t -> ?ring_capacity:int ->
+  ?pressure:Pressure.t -> ?pace:(int -> unit) ->
+  hash:('a -> int) -> workers:int -> batch:int ->
+  consume:(worker:int -> 'a array -> hashes:int array -> int) ->
+  'a array -> result
+(** [run ~hash ~workers ~batch ~consume items] spawns [workers]
+    domains, shards [items] across them by [hash item mod workers] in
+    batches of [batch], joins them all, and reports.  [consume] runs
+    on worker [worker]'s domain, once per batch, in push order, and
+    returns how many of the batch's lookups found their PCB ([found]);
+    it must be safe to call concurrently for different workers (the
+    parallel demultiplexers' batch APIs are).
 
-    Each batch arrives with [hashes], the flows' full hash values
-    under [hasher], computed {e once} per packet when the dispatcher
-    sharded it.  Pass them to {!Striped.lookup_batch_keyed} (created
-    with the same hasher) so the stripe-grouping stage does not
-    re-derive per-packet keys; callers that do not want them can
-    ignore the argument.
+    Each batch arrives with [hashes], the items' [hash] values,
+    computed {e once} per item when the dispatcher sharded it.  Pass
+    [Hashing.Hashers.hash_flow h] as [hash] and hand the values to
+    {!Striped.lookup_batch_keyed} (created with the same hasher) so
+    the stripe-grouping stage does not re-derive per-packet keys;
+    callers that do not want them can ignore the argument.
 
-    Defaults: multiplicative hash (allocation-free per packet),
-    [ring_capacity = 64] batches per worker (rounded up to a power of
-    two), blocking backpressure.
+    [pace i] (default: nothing) runs on the dispatching domain before
+    item [i] is sharded — the hook for paced or bursty arrivals.
+
+    Defaults: [ring_capacity = 64] batches per worker (rounded up to a
+    power of two), blocking backpressure.
 
     With [?obs], registers [pipeline.batch_size] and
-    [pipeline.ring_depth] histograms, the
-    [pipeline.backpressure_drops] counter and the
+    [pipeline.ring_depth] histograms and the
     [pipeline.ring_depth_max] gauge.  With [?tracer], records one
     [Batch] event per push ([a] = size, [b] = worker shard); the
     tracer is touched only by the dispatching domain.
 
-    With [?pressure], every push samples ring occupancy into the
-    controller ({!Pressure.note_ring_depth}) and the current tier
-    gates shipping as described above; tier-attributed losses are
-    counted both in the controller and in [tier_dropped_packets] /
-    [rejected_packets].
+    With [?pressure], every push is gated by {!Pressure.offer};
+    tier-attributed losses are counted both in the controller and in
+    [tier_dropped_packets] / [rejected_packets].
 
     @raise Invalid_argument if [workers], [batch] or [ring_capacity]
-    is non-positive, or [packets] is empty. *)
+    is non-positive, or [items] is empty. *)
 
 val pp : Format.formatter -> result -> unit

@@ -171,6 +171,32 @@ let note_dropped_batch t ~packets =
 let note_rejected t ~packets =
   ignore (Atomic.fetch_and_add t.rejected_packets packets)
 
+(* The producer's tier gate.  The tier is read before the depth sample,
+   so the sample taken for this offer cannot also decide it. *)
+let offer ?idle p ring value ~packets =
+  match p with
+  | None -> Ring.push ?idle ring value; `Pushed
+  | Some p ->
+    let refuse = rejecting p in
+    (* Sample even when refusing: the workers keep draining while the
+       producer sheds, and without a load signal the controller would
+       never observe the calm run it needs to leave Reject. *)
+    note_ring_depth p ~depth:(Ring.length ring) ~capacity:(Ring.capacity ring);
+    if refuse then begin
+      note_rejected p ~packets;
+      `Rejected
+    end
+    else if Ring.try_push ring value then `Pushed
+    else if drops_batches p then begin
+      note_dropped_batch p ~packets;
+      `Dropped
+    end
+    else begin
+      (* Backpressure: the worker is behind; wait for space. *)
+      Ring.push ?idle ring value;
+      `Pushed
+    end
+
 let shed_flows t = Atomic.get t.shed_flows
 let dropped_batches t = Atomic.get t.dropped_batches
 let dropped_batch_packets t = Atomic.get t.dropped_batch_packets

@@ -101,6 +101,23 @@ val note_shed_flow : t -> unit
 val note_dropped_batch : t -> packets:int -> unit
 val note_rejected : t -> packets:int -> unit
 
+val offer :
+  ?idle:(unit -> unit) -> t option -> 'a Ring.t -> 'a -> packets:int ->
+  [ `Pushed | `Dropped | `Rejected ]
+(** The producer's tier gate: offer [value], carrying [packets]
+    packets, to [ring].  Every offer samples the ring's depth into the
+    controller ({!note_ring_depth}) — refused ones too, which is the
+    signal that lets a controller leave {!Reject}.  Then, by the tier
+    read before that sample:
+    {ul
+    {- {!Reject}: [`Rejected], counted by {!note_rejected}; the ring
+       is not touched.}
+    {- a full ring at {!Drop_batches}: [`Dropped], counted by
+       {!note_dropped_batch}.}
+    {- otherwise [`Pushed], waiting for space on a full ring
+       ({!Ring.push}, running [idle] while it waits).}}
+    Without a controller the offer is a plain blocking push. *)
+
 (** {1 Accounting} *)
 
 val shed_flows : t -> int

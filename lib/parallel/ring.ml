@@ -54,3 +54,32 @@ let try_pop t =
 
 let close t = Atomic.set t.closed true
 let is_closed t = Atomic.get t.closed
+
+let push ?(idle = ignore) t value =
+  while not (try_push t value) do
+    idle ();
+    Domain.cpu_relax ()
+  done
+
+(* The drain-after-close protocol: a push can land between a failed
+   pop and the close check, and close is published after the last
+   push, so after observing [is_closed] one more drain pass sees
+   everything. *)
+let consume ?(idle = ignore) t f =
+  let rec drain () =
+    match try_pop t with
+    | Some v -> f v; drain ()
+    | None -> ()
+  in
+  let rec loop () =
+    match try_pop t with
+    | Some v -> f v; loop ()
+    | None ->
+      idle ();
+      if is_closed t then drain ()
+      else begin
+        Domain.cpu_relax ();
+        loop ()
+      end
+  in
+  loop ()

@@ -22,7 +22,14 @@ val capacity : 'a t -> int
 
 val try_push : 'a t -> 'a -> bool
 (** Producer side.  [false] means full — the caller decides whether to
-    spin (backpressure) or drop.
+    wait ({!push}) or drop.
+    @raise Invalid_argument if the ring has been {!close}d. *)
+
+val push : ?idle:(unit -> unit) -> 'a t -> 'a -> unit
+(** Producer side, blocking: retry {!try_push} until the value lands,
+    calling [idle] (default: nothing) and relaxing the CPU between
+    attempts.  [idle] is work the producer must keep doing while it
+    waits — it must not push to this ring.
     @raise Invalid_argument if the ring has been {!close}d. *)
 
 val try_pop : 'a t -> 'a option
@@ -66,3 +73,10 @@ val close : 'a t -> unit
     property test in [test_parallel.ml]. *)
 
 val is_closed : 'a t -> bool
+
+val consume : ?idle:(unit -> unit) -> 'a t -> ('a -> unit) -> unit
+(** Consumer side: apply [f] to every element, in push order, until
+    the ring is closed and drained — the protocol of {!close}, run to
+    completion.  Whenever a pop finds the ring empty, [idle] (default:
+    nothing) runs before the close check, then the consumer relaxes
+    the CPU and retries. *)

@@ -134,11 +134,6 @@ type worker_summary = {
   w_stats : Demux.Lookup_stats.snapshot;
 }
 
-let blocking_push ring v =
-  while not (Ring.try_push ring v) do
-    Domain.cpu_relax ()
-  done
-
 let stack_tier = function
   | Pressure.Normal -> Tcpcore.Stack.Normal
   | Pressure.Shed_new_flows -> Tcpcore.Stack.Shed_new_flows
@@ -226,9 +221,9 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         end
         else begin
           incr migrated_out;
-          blocking_push peer_out.(t) (Adopt conn);
+          Ring.push peer_out.(t) (Adopt conn);
           Demux.Flow_table.replace migrating flow t;
-          blocking_push ctrl (Redirect (flow, t))
+          Ring.push ctrl (Redirect (flow, t))
         end
     done
   in
@@ -256,7 +251,7 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         match Demux.Flow_table.find_opt migrating flow with
         | Some t ->
           incr forwarded_out;
-          blocking_push peer_out.(t) (Forwarded bytes)
+          Ring.push peer_out.(t) (Forwarded bytes)
         | None ->
           if Demux.Flow_table.mem handed_off flow then incr unclassified
           else feed bytes))
@@ -266,7 +261,7 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         incr flushes;
         Demux.Flow_table.remove migrating flow;
         Demux.Flow_table.replace handed_off flow t;
-        blocking_push peer_out.(t) (Forward_done flow)
+        Ring.push peer_out.(t) (Forward_done flow)
       | None -> incr unclassified)
   in
   (* Adopting core, peer-ring side. *)
@@ -332,31 +327,14 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         | Datagram bytes -> feed bytes
         | Flush _ -> incr unclassified
     in
-    let rec drain () =
-      match Ring.try_pop ring with
-      | Some m ->
-        handle m;
-        drain ()
-      | None -> ()
+    let idle () =
+      if
+        cfg.migrate && index = 0
+        && Atomic.get input_done
+        && Ring.is_empty ring
+      then Atomic.set w0_drained true
     in
-    let rec loop () =
-      match Ring.try_pop ring with
-      | Some m ->
-        handle m;
-        loop ()
-      | None ->
-        if
-          cfg.migrate && index = 0
-          && Atomic.get input_done
-          && Ring.is_empty ring
-        then Atomic.set w0_drained true;
-        if Ring.is_closed ring then drain ()
-        else begin
-          Domain.cpu_relax ();
-          loop ()
-        end
-    in
-    loop ();
+    Ring.consume ~idle ring handle;
     if cfg.migrate && index = 0 then begin
       Atomic.set w0_drained true;
       Array.iteri
@@ -521,6 +499,7 @@ let run (cfg : config) datagrams =
         | None -> 0)
       else base_worker flow
   in
+  let idle = if cfg.migrate then Some poll_ctrl else None in
   for i = 0 to total - 1 do
     if cfg.migrate then begin
       poll_ctrl ();
@@ -531,49 +510,18 @@ let run (cfg : config) datagrams =
     let w = steer bytes in
     if cfg.stages then
       Obs.Histogram.record steer_h (Obs.Clock.now_ns () - t0);
-    let ring = rings.(w) in
+    let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
     let p = Option.map (fun cs -> cs.(w)) controllers in
-    match p with
-    | Some pr when Pressure.rejecting pr ->
-      Pressure.note_rejected pr ~packets:1;
-      rejected.(w) <- rejected.(w) + 1;
-      (* Keep sampling so the controller can observe the calm run it
-         needs to leave Reject (same rationale as [Dispatcher]). *)
-      Pressure.note_ring_depth pr ~depth:(Ring.length ring)
-        ~capacity:(Ring.capacity ring)
-    | _ ->
-      let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
-      (match p with
-      | Some pr ->
-        Pressure.note_ring_depth pr ~depth:(Ring.length ring)
-          ~capacity:(Ring.capacity ring)
-      | None -> ());
-      if Ring.try_push ring (Datagram bytes) then
-        steered.(w) <- steered.(w) + 1
-      else begin
-        let tier_drop =
-          match p with Some pr -> Pressure.drops_batches pr | None -> false
-        in
-        if tier_drop then begin
-          (match p with
-          | Some pr -> Pressure.note_dropped_batch pr ~packets:1
-          | None -> ());
-          dropped.(w) <- dropped.(w) + 1
-        end
-        else begin
-          (* Backpressure.  Only the control ring is polled while
-             spinning: pushing a queued flush here could overtake the
-             very datagram we are blocked on and break the
-             straggler-before-flush order on ring 0. *)
-          while not (Ring.try_push ring (Datagram bytes)) do
-            if cfg.migrate then poll_ctrl ();
-            Domain.cpu_relax ()
-          done;
-          steered.(w) <- steered.(w) + 1
-        end
-      end;
-      if cfg.stages then
-        Obs.Histogram.record enqueue_h (Obs.Clock.now_ns () - e0)
+    (* Only the control ring is polled while a full ring blocks the
+       push: pushing a queued flush there could overtake the very
+       datagram we are blocked on and break the straggler-before-flush
+       order on ring 0. *)
+    (match Pressure.offer ?idle p rings.(w) (Datagram bytes) ~packets:1 with
+    | `Pushed -> steered.(w) <- steered.(w) + 1
+    | `Dropped -> dropped.(w) <- dropped.(w) + 1
+    | `Rejected -> rejected.(w) <- rejected.(w) + 1);
+    if cfg.stages then
+      Obs.Histogram.record enqueue_h (Obs.Clock.now_ns () - e0)
   done;
   if not cfg.migrate then Array.iter Ring.close rings
   else begin

@@ -403,7 +403,7 @@ let test_four_domain_stress_mid_run_growth () =
 
 let test_dispatcher_over_epoch_table () =
   (* The pipeline integration: shard-time hashes feed
-     [lookup_batch_keyed] directly (the dispatcher's default hasher is
+     [lookup_batch_keyed] directly (the multiplicative flow hash is
      the table's default hash), and the lossless run conserves every
      packet. *)
   let population = Array.init 200 flow in
@@ -425,7 +425,8 @@ let test_dispatcher_over_epoch_table () =
   in
   let result =
     Parallel.Dispatcher.run ~workers:3 ~batch:16
-      ~lookup_batch:(fun batch ~hashes ->
+      ~hash:(Hashing.Hashers.hash_flow Hashing.Hashers.multiplicative)
+      ~consume:(fun ~worker:_ batch ~hashes ->
         Epoch.Packed.Heap.lookup_batch_keyed t batch ~hashes)
       stream
   in
@@ -435,7 +436,7 @@ let test_dispatcher_over_epoch_table () =
     (Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets);
   Alcotest.(check int) "found matches sequential" expected_found
     result.Parallel.Dispatcher.found;
-  Alcotest.(check int) "lossless" 0 result.Parallel.Dispatcher.dropped_packets;
+  Alcotest.(check int) "lossless" 0 (Parallel.Dispatcher.lost_packets result);
   Epoch.Packed.Heap.quiesce t;
   Alcotest.(check int) "drained after the run" 0 (Epoch.Packed.Heap.pending t)
 

@@ -317,28 +317,11 @@ let test_ring_spsc_transfer () =
           incr expected;
           incr count
         in
-        let rec drain () =
-          match Parallel.Ring.try_pop ring with
-          | Some v -> consume v; drain ()
-          | None -> ()
-        in
-        let rec loop () =
-          match Parallel.Ring.try_pop ring with
-          | Some v -> consume v; loop ()
-          | None ->
-            if Parallel.Ring.is_closed ring then drain ()
-            else begin
-              Domain.cpu_relax ();
-              loop ()
-            end
-        in
-        loop ();
+        Parallel.Ring.consume ring consume;
         (!count, !received))
   in
   for i = 0 to total - 1 do
-    while not (Parallel.Ring.try_push ring i) do
-      Domain.cpu_relax ()
-    done
+    Parallel.Ring.push ring i
   done;
   Parallel.Ring.close ring;
   let count, out_of_order = Domain.join consumer in
@@ -363,26 +346,12 @@ let test_ring_produce_close_race () =
       Domain.spawn (fun () ->
           let next = ref 0 and disorder = ref 0 in
           let consume v = if v = !next then incr next else incr disorder in
-          let rec drain () =
-            match Parallel.Ring.try_pop ring with
-            | Some v -> consume v; drain ()
-            | None -> ()
-          in
-          let rec loop () =
-            match Parallel.Ring.try_pop ring with
-            | Some v -> consume v; loop ()
-            | None ->
-              if Parallel.Ring.is_closed ring then drain ()
-              else begin
-                for _ = 0 to jitter do Domain.cpu_relax () done;
-                loop ()
-              end
-          in
-          loop ();
+          let idle () = for _ = 1 to jitter do Domain.cpu_relax () done in
+          Parallel.Ring.consume ~idle ring consume;
           (!next, !disorder))
     in
     for i = 0 to total - 1 do
-      while not (Parallel.Ring.try_push ring i) do Domain.cpu_relax () done
+      Parallel.Ring.push ring i
     done;
     Parallel.Ring.close ring;
     (match Parallel.Ring.try_push ring total with
@@ -495,6 +464,45 @@ let test_pressure_force_and_counters () =
       ("reject", 1) ]
     (Parallel.Pressure.transitions p)
 
+let test_pressure_offer () =
+  (* The tier gate on a 1-slot ring, one forced tier at a time. *)
+  let ring = Parallel.Ring.create ~capacity:1 in
+  let p = Parallel.Pressure.create () in
+  let verdict = function
+    | `Pushed -> "pushed"
+    | `Dropped -> "dropped"
+    | `Rejected -> "rejected"
+  in
+  let offer ?(ctrl = Some p) v ~packets =
+    verdict (Parallel.Pressure.offer ctrl ring v ~packets)
+  in
+  Parallel.Pressure.force p Parallel.Pressure.Normal;
+  Alcotest.(check string) "normal pushes" "pushed" (offer 1 ~packets:3);
+  Alcotest.(check int) "ring holds it" 1 (Parallel.Ring.length ring);
+  Parallel.Pressure.force p Parallel.Pressure.Drop_batches;
+  Alcotest.(check string) "drop-batches sheds on a full ring" "dropped"
+    (offer 2 ~packets:5);
+  Alcotest.(check int) "dropped packets counted" 5
+    (Parallel.Pressure.dropped_batch_packets p);
+  Alcotest.(check int) "full ring unchanged" 1 (Parallel.Ring.length ring);
+  Alcotest.(check (option int)) "the pushed value survives" (Some 1)
+    (Parallel.Ring.try_pop ring);
+  Parallel.Pressure.force p Parallel.Pressure.Reject;
+  let seen = Parallel.Pressure.observations p in
+  Alcotest.(check string) "reject refuses" "rejected" (offer 3 ~packets:7);
+  Alcotest.(check bool) "refused with room to spare: ring untouched" true
+    (Parallel.Ring.is_empty ring);
+  Alcotest.(check int) "rejected packets counted" 7
+    (Parallel.Pressure.rejected_packets p);
+  Alcotest.(check int) "a refused offer still samples the ring" (seen + 1)
+    (Parallel.Pressure.observations p);
+  Alcotest.(check string) "no controller: a plain push" "pushed"
+    (offer ~ctrl:None 4 ~packets:1);
+  Alcotest.(check (option int)) "and it landed" (Some 4)
+    (Parallel.Ring.try_pop ring)
+
+let hash = Hashing.Hashers.hash_flow Hashing.Hashers.multiplicative
+
 let test_dispatcher_under_pressure () =
   let population = flows 40 in
   let stream = Array.concat (List.init 25 (fun _ -> population)) in
@@ -504,8 +512,8 @@ let test_dispatcher_under_pressure () =
   let p = Parallel.Pressure.create () in
   Parallel.Pressure.force p Parallel.Pressure.Reject;
   let result =
-    Parallel.Dispatcher.run ~pressure:p ~workers:3 ~batch:8
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch)
+    Parallel.Dispatcher.run ~pressure:p ~workers:3 ~batch:8 ~hash
+      ~consume:(fun ~worker:_ batch ~hashes:_ -> Array.length batch)
       stream
   in
   Alcotest.(check int) "all packets offered" total
@@ -522,7 +530,7 @@ let test_dispatcher_under_pressure () =
   Parallel.Pressure.force p Parallel.Pressure.Drop_batches;
   let result =
     Parallel.Dispatcher.run ~pressure:p ~workers:2 ~batch:4 ~ring_capacity:1
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch)
+      ~hash ~consume:(fun ~worker:_ batch ~hashes:_ -> Array.length batch)
       stream
   in
   let delivered =
@@ -551,8 +559,8 @@ let test_dispatcher_pipeline () =
   in
   let obs = Obs.Registry.create () in
   let result =
-    Parallel.Dispatcher.run ~obs ~workers:3 ~batch:16
-      ~lookup_batch:(fun batch ~hashes ->
+    Parallel.Dispatcher.run ~obs ~workers:3 ~batch:16 ~hash
+      ~consume:(fun ~worker:_ batch ~hashes ->
         Parallel.Striped.lookup_batch_keyed d batch ~hashes)
       stream
   in
@@ -563,7 +571,7 @@ let test_dispatcher_pipeline () =
   Alcotest.(check int) "found matches sequential" expected_found
     result.Parallel.Dispatcher.found;
   Alcotest.(check int) "lossless by default" 0
-    result.Parallel.Dispatcher.dropped_packets;
+    (Parallel.Dispatcher.lost_packets result);
   Alcotest.(check bool) "batches sized" true
     (result.Parallel.Dispatcher.batches
      >= 5_000 / 16 (* at least ceil per worker *));
@@ -574,14 +582,11 @@ let test_dispatcher_pipeline () =
     Alcotest.(check int) "one histogram sample per batch"
       result.Parallel.Dispatcher.batches summary.Obs.Histogram.count
   | _ -> Alcotest.fail "pipeline.batch_size missing");
-  (match Obs.Registry.find metrics "pipeline.backpressure_drops" with
-  | Some { Obs.Registry.data = Obs.Registry.Counter 0; _ } -> ()
-  | _ -> Alcotest.fail "pipeline.backpressure_drops missing or nonzero");
   Alcotest.check_raises "workers 0"
     (Invalid_argument "Dispatcher.run: workers <= 0") (fun () ->
       ignore
-        (Parallel.Dispatcher.run ~workers:0 ~batch:1
-           ~lookup_batch:(fun _ ~hashes:_ -> 0) stream))
+        (Parallel.Dispatcher.run ~workers:0 ~batch:1 ~hash
+           ~consume:(fun ~worker:_ _ ~hashes:_ -> 0) stream))
 
 let test_dispatcher_sharding_is_by_flow () =
   (* Every packet of one flow must land on the same worker: feed a
@@ -599,8 +604,9 @@ let test_dispatcher_sharding_is_by_flow () =
       expected.(w) <- expected.(w) + repeats)
     population;
   let result =
-    Parallel.Dispatcher.run ~hasher ~workers ~batch:8
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch) stream
+    Parallel.Dispatcher.run ~hash:(Hashing.Hashers.hash_flow hasher) ~workers
+      ~batch:8 ~consume:(fun ~worker:_ batch ~hashes:_ -> Array.length batch)
+      stream
   in
   Alcotest.(check (array int)) "per-worker counts follow the flow hash"
     expected result.Parallel.Dispatcher.per_worker_packets
@@ -821,6 +827,8 @@ let () =
             test_pressure_insert_latency_watermark;
           Alcotest.test_case "force, release, counters" `Quick
             test_pressure_force_and_counters;
+          Alcotest.test_case "offer: the tier gate" `Quick
+            test_pressure_offer;
           Alcotest.test_case "dispatcher under forced tiers" `Quick
             test_dispatcher_under_pressure ] );
       ( "dispatcher",
