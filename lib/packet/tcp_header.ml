@@ -26,13 +26,18 @@ let flags_to_int f =
   lor (if f.ack then 0x10 else 0)
   lor if f.urg then 0x20 else 0
 
-let flags_of_int bits =
-  { fin = bits land 0x01 <> 0;
-    syn = bits land 0x02 <> 0;
-    rst = bits land 0x04 <> 0;
-    psh = bits land 0x08 <> 0;
-    ack = bits land 0x10 <> 0;
-    urg = bits land 0x20 <> 0 }
+(* Flag records are immutable, so parsing shares one per bit pattern
+   instead of allocating a fresh record per segment. *)
+let flags_table =
+  Array.init 64 (fun bits ->
+      { fin = bits land 0x01 <> 0;
+        syn = bits land 0x02 <> 0;
+        rst = bits land 0x04 <> 0;
+        psh = bits land 0x08 <> 0;
+        ack = bits land 0x10 <> 0;
+        urg = bits land 0x20 <> 0 })
+
+let flags_of_int bits = flags_table.(bits land 0x3F)
 
 let pp_flags ppf f =
   let letters =

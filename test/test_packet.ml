@@ -43,6 +43,95 @@ let test_checksum_zero_region () =
   Alcotest.(check int) "all-zero checksum" 0xFFFF
     (Packet.Checksum.compute data ~off:0 ~len:8)
 
+(* RFC 1071's plain loop, one 16-bit big-endian word per step with an
+   odd trailing byte padded with zero: the reference the word-wide
+   kernel in [Packet.Checksum] is checked against. *)
+let reference_sum ~initial buf ~off ~len =
+  let sum = ref initial in
+  let i = ref off in
+  let stop = off + len in
+  while !i + 1 < stop do
+    sum := !sum + Bytes.get_uint16_be buf !i;
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Bytes.get_uint8 buf !i lsl 8);
+  !sum
+
+let reference_compute ~initial buf ~off ~len =
+  Packet.Checksum.finish (reference_sum ~initial buf ~off ~len)
+
+(* Largest [Ipv4.pseudo_header_sum]: four address halves, a protocol
+   byte and a 16-bit TCP length. *)
+let max_pseudo_sum = (5 * 0xFFFF) + 0xFF
+
+let check_against_reference name ~initial buf ~off ~len =
+  let expected = reference_compute ~initial buf ~off ~len in
+  Alcotest.(check int)
+    (Printf.sprintf "%s compute off=%d len=%d initial=%d" name off len initial)
+    expected
+    (Packet.Checksum.compute ~initial buf ~off ~len);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s verify off=%d len=%d initial=%d" name off len initial)
+    (expected = 0)
+    (Packet.Checksum.verify ~initial buf ~off ~len)
+
+let test_checksum_uniform_regions () =
+  (* All-0x00 folds to 0 and all-0xFF to 0xFFFF; the two complement to
+     different checksums, so a kernel that confused them fails here. *)
+  List.iter
+    (fun (name, fill, expected) ->
+      for off = 0 to 15 do
+        List.iter
+          (fun len ->
+            let buf = Bytes.make (off + len + 16) fill in
+            check_against_reference name ~initial:0 buf ~off ~len;
+            if len >= 2 && len mod 2 = 0 then
+              Alcotest.(check int)
+                (Printf.sprintf "%s off=%d len=%d" name off len)
+                expected
+                (Packet.Checksum.compute buf ~off ~len))
+          [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 1460; 1461; 1480; 2048 ]
+      done)
+    [ ("all-0x00", '\x00', 0xFFFF); ("all-0xFF", '\xFF', 0) ]
+
+let prop_checksum_matches_reference =
+  (* Every alignment, lengths with and without a <16-byte tail, random
+     bytes on both sides of the region and any pseudo-header seed. *)
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((off, len, slack), (initial, seed)) ->
+          let rng = Random.State.make [| seed |] in
+          let buf =
+            Bytes.init (off + len + slack) (fun _ ->
+                Char.chr (Random.State.int rng 256))
+          in
+          (buf, off, len, initial))
+        (pair
+           (triple (int_range 0 15) (int_range 0 2048) (int_range 0 15))
+           (pair (int_range 0 max_pseudo_sum) int)))
+  in
+  let print (buf, off, len, initial) =
+    Printf.sprintf "off=%d len=%d initial=%d buf_len=%d" off len initial
+      (Bytes.length buf)
+  in
+  QCheck.Test.make ~count:2000 ~name:"checksum matches the 16-bit reference"
+    (QCheck.make ~print gen) (fun (buf, off, len, initial) ->
+      let agrees () =
+        let expected = reference_compute ~initial buf ~off ~len in
+        Packet.Checksum.compute ~initial buf ~off ~len = expected
+        && Packet.Checksum.verify ~initial buf ~off ~len = (expected = 0)
+      in
+      (* Then stamp the reference checksum into the region, as a sender
+         would, so that [verify] also sees regions that must pass. *)
+      agrees ()
+      && (len < 2
+         ||
+         let at = off + (2 * (len / 4)) in
+         Bytes.set_uint16_be buf at 0;
+         Bytes.set_uint16_be buf at (reference_compute ~initial buf ~off ~len);
+         agrees () && Packet.Checksum.verify ~initial buf ~off ~len))
+
 (* ------------------------------------------------------------------ *)
 (* IPv4 addresses                                                      *)
 
@@ -332,30 +421,72 @@ let test_segment_roundtrip () =
          (Packet.Segment.flow parsed))
 
 let test_segment_detects_any_corruption () =
-  let segment =
-    Packet.Segment.make ~payload:"payload under test"
-      ~src:(endpoint 10 0 0 1 4000) ~dst:(endpoint 192 168 1 1 8888) ()
+  (* A short payload, then full-size ones (even and odd length) whose
+     TCP region runs through many 16-byte steps of the checksum kernel
+     and ends in a tail shorter than 16 bytes. *)
+  let payloads =
+    [ "payload under test";
+      String.init 1460 (fun i -> Char.chr ((i * 31) land 0xFF));
+      String.init 1461 (fun i -> Char.chr ((i * 37) land 0xFF)) ]
   in
-  let wire = Packet.Segment.to_bytes segment in
-  let rejected = ref 0 in
-  for i = 0 to Bytes.length wire - 1 do
-    let copy = Bytes.copy wire in
-    Bytes.set_uint8 copy i (Bytes.get_uint8 copy i lxor 0x01);
-    match Packet.Segment.parse copy ~off:0 with
-    | Error _ -> incr rejected
-    | Ok reparsed ->
-      (* A flip in the checksum-covered region must not parse equal. *)
-      if
-        reparsed.Packet.Segment.payload = segment.Packet.Segment.payload
-        && Packet.Flow.equal
-             (Packet.Segment.flow reparsed)
-             (Packet.Segment.flow segment)
-      then Alcotest.failf "undetected corruption at byte %d" i
+  List.iter
+    (fun payload ->
+      let segment =
+        Packet.Segment.make ~payload ~src:(endpoint 10 0 0 1 4000)
+          ~dst:(endpoint 192 168 1 1 8888) ()
+      in
+      let wire = Packet.Segment.to_bytes segment in
+      let rejected = ref 0 in
+      for i = 0 to Bytes.length wire - 1 do
+        let copy = Bytes.copy wire in
+        Bytes.set_uint8 copy i (Bytes.get_uint8 copy i lxor 0x01);
+        match Packet.Segment.parse copy ~off:0 with
+        | Error _ -> incr rejected
+        | Ok reparsed ->
+          (* A flip in the checksum-covered region must not parse equal. *)
+          if
+            reparsed.Packet.Segment.payload = segment.Packet.Segment.payload
+            && Packet.Flow.equal
+                 (Packet.Segment.flow reparsed)
+                 (Packet.Segment.flow segment)
+          then
+            Alcotest.failf "undetected corruption at byte %d of %d" i
+              (Bytes.length wire)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "most flips rejected (%d of %d)" !rejected
+           (Bytes.length wire))
+        true
+        (!rejected >= Bytes.length wire - 2))
+    payloads
+
+let test_segment_parse_shares_flags () =
+  let wire =
+    Packet.Segment.to_bytes
+      (Packet.Segment.make ~payload:"x" ~flags:Packet.Tcp_header.flag_psh_ack
+         ~src:(endpoint 10 0 0 1 4000) ~dst:(endpoint 192 168 1 1 8888) ())
+  in
+  let parse () =
+    match Packet.Segment.parse wire ~off:0 with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let flags s = s.Packet.Segment.tcp.Packet.Tcp_header.flags in
+  let a = parse () and b = parse () in
+  Alcotest.(check bool) "same flag record" true (flags a == flags b);
+  Alcotest.(check bool) "psh+ack" true
+    ((flags a).Packet.Tcp_header.psh && (flags a).Packet.Tcp_header.ack);
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (parse ()))
   done;
-  Alcotest.(check bool)
-    (Printf.sprintf "most flips rejected (%d)" !rejected)
-    true
-    (!rejected >= Bytes.length wire - 2)
+  let per_parse =
+    Float.to_int
+      (Float.round ((Gc.minor_words () -. before) /. float_of_int rounds))
+  in
+  (* 71 words while every parse built its own 7-word flag record. *)
+  Alcotest.(check int) "minor words per no-option parse" 64 per_parse
 
 let test_segment_rejects_fragment () =
   let segment =
@@ -692,7 +823,9 @@ let () =
           Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
           Alcotest.test_case "verify roundtrip" `Quick test_checksum_verify_roundtrip;
           Alcotest.test_case "bounds" `Quick test_checksum_bounds;
-          Alcotest.test_case "all zero" `Quick test_checksum_zero_region ] );
+          Alcotest.test_case "all zero" `Quick test_checksum_zero_region;
+          Alcotest.test_case "uniform regions" `Quick test_checksum_uniform_regions;
+          QCheck_alcotest.to_alcotest prop_checksum_matches_reference ] );
       ( "ipv4-addr",
         [ Alcotest.test_case "roundtrip" `Quick test_addr_roundtrip;
           Alcotest.test_case "invalid strings" `Quick test_addr_invalid;
@@ -723,6 +856,7 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_segment_roundtrip;
           Alcotest.test_case "detects corruption" `Quick
             test_segment_detects_any_corruption;
+          Alcotest.test_case "shares flag records" `Quick test_segment_parse_shares_flags;
           Alcotest.test_case "rejects fragments" `Quick test_segment_rejects_fragment;
           Alcotest.test_case "skip checksum option" `Quick test_segment_skip_checksum ] );
       ( "pcap",
