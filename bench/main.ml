@@ -356,9 +356,8 @@ let e29_measure ~trials ~lookups n =
   Array.iter (fun f -> ignore (Demux.Sequent.insert chained f ())) population;
   let flat = Demux.Packed_table.Heap.create ~initial_capacity:n () in
   Array.iteri
-    (fun id f ->
-      Demux.Packed_table.Heap.replace flat ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) id)
+    (fun id { Packet.Flow.w0; w1 } ->
+      Demux.Packed_table.Heap.replace flat ~w0 ~w1 id)
     population;
   let run_chained count =
     for k = 0 to count - 1 do
@@ -367,10 +366,8 @@ let e29_measure ~trials ~lookups n =
   in
   let run_flat count =
     for k = 0 to count - 1 do
-      let f = population.(order.(k)) in
-      ignore
-        (Demux.Packed_table.Heap.find flat ~w0:(Demux.Flow_key.w0_of_flow f)
-           ~w1:(Demux.Flow_key.w1_of_flow f))
+      let { Packet.Flow.w0; w1 } = population.(order.(k)) in
+      ignore (Demux.Packed_table.Heap.find flat ~w0 ~w1)
     done
   in
   (* Warm both tables (fault in code paths and caches) before timing. *)
@@ -653,17 +650,13 @@ let e33_read_path ~smoke () =
   let flows = Sim.Topology.flows population in
   let t = Epoch.Packed.Heap.create () in
   Epoch.Packed.Heap.load t
-    (Array.mapi
-       (fun i f ->
-         (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f, i))
-       flows);
+    (Array.mapi (fun i { Packet.Flow.w0; w1 } -> (w0, w1, i)) flows);
   let rng = Numerics.Rng.create ~seed:bench_seed in
   let order =
     Array.init lookups (fun _ -> Numerics.Rng.int rng ~bound:population)
   in
-  let get f =
-    Epoch.Packed.Heap.get t ~w0:(Demux.Flow_key.w0_of_flow f)
-      ~w1:(Demux.Flow_key.w1_of_flow f) ~default:(-1)
+  let get { Packet.Flow.w0; w1 } =
+    Epoch.Packed.Heap.get t ~w0 ~w1 ~default:(-1)
   in
   (* Warm: the one-time reader registration happens here, before the
      counters are read. *)

@@ -723,7 +723,7 @@ let run_pipeline ~chains ?obs ?tracer ~workers ~batch ~connections ~packets
 (* The same dispatcher pipeline over a lock-free epoch table: workers
    demultiplex each batch through Epoch.Packed.lookup_batch_keyed (one
    epoch pin per batch, zero mutex acquisitions).  The multiplicative
-   flow hash matches the table's Flow_key.hash_words, so the
+   flow hash matches the table's Packed_table.default_hash, so the
    precomputed shard hashes are reusable as probe hashes.  Values are
    the flow's load index; [prefix] names the table's metrics. *)
 let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
@@ -731,10 +731,7 @@ let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
   let flows = Sim.Topology.flows connections in
   let table = E.create () in
   E.load table
-    (Array.mapi
-       (fun i flow ->
-         (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
-       flows);
+    (Array.mapi (fun i { Packet.Flow.w0; w1 } -> (w0, w1, i)) flows);
   Option.iter (fun obs -> E.register_obs ~prefix obs table) obs;
   let stream = pipeline_stream flows ~packets ~seed in
   let result =

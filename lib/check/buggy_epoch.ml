@@ -6,7 +6,7 @@ module P = Demux.Packed_table.Heap
 type t = P.region Atomic.t
 type view = P.region
 
-let hash = Demux.Flow_key.hash_words
+let hash = Demux.Packed_table.default_hash
 let create () = Atomic.make (P.Region.create ~capacity:8)
 
 (* THE PLANTED BUG: the replaced region is poisoned NOW, pins or no

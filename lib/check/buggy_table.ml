@@ -11,7 +11,8 @@ let create () = create ()
    draining old region take the real path.) *)
 let remove t ~w0 ~w1 =
   let r = live t in
-  let slot = Region.slot r ~hash:(Demux.Flow_key.hash_words w0 w1) ~w0 ~w1 in
+  let hash = Demux.Packed_table.default_hash w0 w1 in
+  let slot = Region.slot r ~hash ~w0 ~w1 in
   if slot < 0 then remove t ~w0 ~w1
   else begin
     Demux.Storage.Heap.set_tag r.store slot 0;

@@ -82,10 +82,7 @@ let adversarial_candidates ~seed size =
   let flipped =
     List.concat_map
       (fun (flow : Packet.Flow.t) ->
-        let segment =
-          Packet.Segment.make ~src:flow.Packet.Flow.remote
-            ~dst:flow.Packet.Flow.local ()
-        in
+        let segment = Packet.Segment.of_flow (Packet.Flow.reverse flow) in
         List.filter_map
           (fun bytes ->
             match Packet.Segment.parse bytes ~off:0 with

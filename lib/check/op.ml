@@ -29,8 +29,8 @@ let endpoint_to_string (e : Packet.Flow.endpoint) =
 
 let pp_op ppf op =
   Format.fprintf ppf "%c %s %s" (letter op.kind)
-    (endpoint_to_string op.flow.Packet.Flow.local)
-    (endpoint_to_string op.flow.Packet.Flow.remote)
+    (endpoint_to_string (Packet.Flow.local op.flow))
+    (endpoint_to_string (Packet.Flow.remote op.flow))
 
 let print t =
   let b = Buffer.create (64 + (Array.length t.ops * 40)) in
@@ -60,8 +60,8 @@ let endpoint_of_string s =
     match Packet.Ipv4.addr_of_string addr with
     | Error e -> Error (Printf.sprintf "endpoint %S: %s" s e)
     | Ok addr -> (
-      match int_of_string_opt port with
-      | Some p when p >= 0 && p <= 65535 -> Ok (Packet.Flow.endpoint addr p)
+      match Packet.Ipv4.decimal ~max_digits:5 port with
+      | Some p when p <= 65535 -> Ok (Packet.Flow.endpoint addr p)
       | Some _ | None ->
         Error (Printf.sprintf "endpoint %S: bad port %S" s port)))
 

@@ -43,7 +43,7 @@ let lower ?(payload = 64) (prog : Op.t) =
   Array.iteri
     (fun i { Op.kind; flow } ->
       if !error = None then begin
-        let src = flow.Packet.Flow.remote and dst = flow.Packet.Flow.local in
+        let src = Packet.Flow.remote flow and dst = Packet.Flow.local flow in
         let seg ?payload ~flags ~seq ~ack_number () =
           Packet.Segment.make ?payload ~flags ~seq ~ack_number ~src ~dst ()
         in

@@ -78,25 +78,21 @@ end
 
 let of_index (type a) ~name (module M : INDEX with type t = a) (table : a) =
   (* The index holds bare ints, which is exactly the oracle's payload
-     type — no Pcb box needed.  Flows for [contents] are reconstructed
-     from the stored words ([Flow_key.to_flow] is the packing's
-     inverse), so this adapter also exercises the round-trip the
-     boundary qcheck in test_demux.ml pins. *)
+     type — no Pcb box needed.  Flows for [contents] are rebuilt from
+     the stored words ([Flow.of_words]), so this adapter also exercises
+     the round-trip the boundary qcheck in test_demux.ml pins. *)
   let stats = Demux.Lookup_stats.create () in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
   { name;
     insert =
       (fun flow v ->
-        let w0, w1 = words flow in
+        let { Packet.Flow.w0; w1 } = flow in
         if M.mem table ~w0 ~w1 then
           invalid_arg (name ^ ".insert: duplicate flow");
         M.replace table ~w0 ~w1 v;
         Demux.Lookup_stats.note_insert stats);
     remove =
       (fun flow ->
-        let w0, w1 = words flow in
+        let { Packet.Flow.w0; w1 } = flow in
         match M.find_opt table ~w0 ~w1 with
         | None -> None
         | Some v ->
@@ -105,10 +101,11 @@ let of_index (type a) ~name (module M : INDEX with type t = a) (table : a) =
           Some (flow, v));
     lookup =
       (fun ~kind:_ flow ->
-        let w0, w1 = words flow in
         Demux.Lookup_stats.begin_lookup stats;
         Demux.Lookup_stats.examine stats ();
-        let result = M.find_opt table ~w0 ~w1 in
+        let result =
+          M.find_opt table ~w0:flow.Packet.Flow.w0 ~w1:flow.Packet.Flow.w1
+        in
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false
           ~found:(result <> None);
         Option.map (fun v -> (flow, v)) result);
@@ -119,10 +116,7 @@ let of_index (type a) ~name (module M : INDEX with type t = a) (table : a) =
       (fun () ->
         let acc = ref [] in
         M.iter
-          (fun ~w0 ~w1 v ->
-            acc :=
-              (Demux.Flow_key.to_flow (Demux.Flow_key.make ~w0 ~w1), v)
-              :: !acc)
+          (fun ~w0 ~w1 v -> acc := (Packet.Flow.of_words ~w0 ~w1, v) :: !acc)
           table;
         sorted_contents !acc);
     guard = None }
@@ -171,15 +165,11 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
   in
   let stats = Demux.Lookup_stats.create () in
   let next_id = ref 0 in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
   let remove_raw flow =
-    let w0, w1 = words flow in
-    match Demux.Handle_table.find_opt table ~w0 ~w1 with
+    match Demux.Handle_table.find_opt table flow with
     | None -> None
     | Some pcb ->
-      Demux.Handle_table.remove table ~w0 ~w1;
+      Demux.Handle_table.remove table flow;
       Some pcb
   in
   (* The same wiring as Registry.guard, so the shadow guard Diff runs
@@ -202,12 +192,11 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
                 invalid_arg
                   "guarded-flat-table: guard evicted an absent flow")
             victims;
-          let w0, w1 = words flow in
-          if Demux.Handle_table.mem table ~w0 ~w1 then
+          if Demux.Handle_table.mem table flow then
             invalid_arg "guarded-flat-table.insert: duplicate flow";
           let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
           incr next_id;
-          Demux.Handle_table.replace table ~w0 ~w1 pcb;
+          Demux.Handle_table.replace table flow pcb;
           Demux.Guarded.note_inserted guard flow;
           Demux.Lookup_stats.note_insert stats);
     remove =
@@ -220,10 +209,9 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
           Some (pcb_pair pcb));
     lookup =
       (fun ~kind:_ flow ->
-        let w0, w1 = words flow in
         Demux.Lookup_stats.begin_lookup stats;
         Demux.Lookup_stats.examine stats ();
-        let result = Demux.Handle_table.find_opt table ~w0 ~w1 in
+        let result = Demux.Handle_table.find_opt table flow in
         if result <> None then Demux.Guarded.note_touched guard flow;
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false
           ~found:(result <> None);
@@ -234,8 +222,6 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
     contents =
       (fun () ->
         let acc = ref [] in
-        Demux.Handle_table.iter
-          (fun ~w0:_ ~w1:_ pcb -> acc := pcb_pair pcb :: !acc)
-          table;
+        Demux.Handle_table.iter (fun pcb -> acc := pcb_pair pcb :: !acc) table;
         sorted_contents !acc);
     guard = Some config }

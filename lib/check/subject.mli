@@ -53,7 +53,7 @@ val of_index : name:string -> (module INDEX with type t = 'a) -> 'a -> t
 (** A demultiplexer over a bare index instance: one probe charged per
     lookup, payloads stored directly in the index's int value lane.
     [contents] reconstructs each flow from its packed words, so every
-    differential run also exercises the {!Demux.Flow_key} round-trip. *)
+    differential run also exercises {!Packet.Flow.of_words}. *)
 
 val flat_table : unit -> t
 (** {!Demux.Packed_table.Heap} at minimum initial capacity under the

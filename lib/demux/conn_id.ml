@@ -16,7 +16,7 @@ let create ?(capacity = 65536) () =
     population = 0 }
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let { Packet.Flow.w0; w1 } = flow in
   if Packed_table.Heap.mem t.ids ~w0 ~w1 then
     invalid_arg "Conn_id.insert: duplicate flow";
   match t.free with
@@ -30,9 +30,8 @@ let insert t flow data =
     Lookup_stats.note_insert t.stats;
     pcb
 
-let connection_id t flow =
-  Packed_table.Heap.find_opt t.ids ~w0:(Flow_key.w0_of_flow flow)
-    ~w1:(Flow_key.w1_of_flow flow)
+let connection_id t { Packet.Flow.w0; w1 } =
+  Packed_table.Heap.find_opt t.ids ~w0 ~w1
 
 let lookup_by_id t ?kind:_ id =
   Lookup_stats.begin_lookup t.stats;
@@ -53,7 +52,7 @@ let lookup_by_id t ?kind:_ id =
   end
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let { Packet.Flow.w0; w1 } = flow in
   match Packed_table.Heap.take t.ids ~w0 ~w1 ~default:(-1) with
   | -1 -> None
   | id ->
@@ -67,21 +66,15 @@ let remove t flow =
 let lookup t ?kind flow =
   (* The ID travels in the packet header; translating flow -> ID here
      stands in for reading those header bits and is not charged. *)
-  match
-    Packed_table.Heap.find t.ids ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
+  match Packed_table.Heap.find t.ids ~w0:flow.Packet.Flow.w0 ~w1:flow.w1 with
   | id -> lookup_by_id t ?kind id
   | exception Not_found ->
     Lookup_stats.begin_lookup t.stats;
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     None
 
-let note_send t flow =
-  match
-    Packed_table.Heap.find t.ids ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
+let note_send t { Packet.Flow.w0; w1 } =
+  match Packed_table.Heap.find t.ids ~w0 ~w1 with
   | id -> (
     match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ())
   | exception Not_found -> ()

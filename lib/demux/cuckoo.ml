@@ -43,7 +43,7 @@ let alloc_slot t =
     id
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let { Packet.Flow.w0; w1 } = flow in
   if Table.mem t.table ~w0 ~w1 then invalid_arg "Cuckoo.insert: duplicate flow";
   let id = alloc_slot t in
   let pcb = Pcb.make ~id ~flow data in
@@ -52,8 +52,7 @@ let insert t flow data =
   Lookup_stats.note_insert t.stats;
   pcb
 
-let lookup t ?kind:_ flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+let lookup t ?kind:_ { Packet.Flow.w0; w1 } =
   Lookup_stats.begin_lookup t.stats;
   match Table.find t.table ~w0 ~w1 with
   | id ->
@@ -73,7 +72,7 @@ let lookup t ?kind:_ flow =
     None
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let { Packet.Flow.w0; w1 } = flow in
   match Table.find_opt t.table ~w0 ~w1 with
   | None -> None
   | Some id ->
@@ -84,8 +83,7 @@ let remove t flow =
     Lookup_stats.note_remove t.stats;
     pcb
 
-let note_send t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+let note_send t { Packet.Flow.w0; w1 } =
   match Table.find_opt t.table ~w0 ~w1 with
   | Some id -> (
     match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ())

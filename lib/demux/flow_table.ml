@@ -1,11 +1,1 @@
-include Hashtbl.Make (struct
-  type t = Packet.Flow.t
-
-  let equal = Packet.Flow.equal
-
-  (* Mix the packed key words instead of serialising and hashing a
-     fresh 12-byte string per call. *)
-  let hash flow =
-    Hashtbl.hash
-      ((Flow_key.w0_of_flow flow * 0x9E3779B1) lxor Flow_key.w1_of_flow flow)
-end)
+include Hashtbl.Make (Packet.Flow)

@@ -57,22 +57,23 @@ let create ?initial_capacity () =
 
 let length t = P.length t.index
 let handles t = t.slots.Slots.issued
-let find t ~w0 ~w1 = Slots.get t.slots (P.find t.index ~w0 ~w1)
 
-let find_opt t ~w0 ~w1 =
-  match find t ~w0 ~w1 with v -> Some v | exception Not_found -> None
+let find t { Packet.Flow.w0; w1 } = Slots.get t.slots (P.find t.index ~w0 ~w1)
 
-let mem t ~w0 ~w1 = P.mem t.index ~w0 ~w1
+let find_opt t flow =
+  match find t flow with v -> Some v | exception Not_found -> None
+
+let mem t { Packet.Flow.w0; w1 } = P.mem t.index ~w0 ~w1
 
 (* Offer the next free handle; the engine keeps an existing key's own
    handle instead, and then the offered one is never claimed. *)
-let replace t ~w0 ~w1 v =
+let replace t { Packet.Flow.w0; w1 } v =
   let h = Slots.next t.slots in
   let bound = P.add t.index ~w0 ~w1 h in
   if bound = h then Slots.claim t.slots v else Slots.set t.slots bound v
 
-let remove t ~w0 ~w1 =
+let remove t { Packet.Flow.w0; w1 } =
   let h = P.take t.index ~w0 ~w1 ~default:(-1) in
   if h >= 0 then Slots.release t.slots h
 
-let iter f t = P.iter (fun ~w0 ~w1 h -> f ~w0 ~w1 (Slots.get t.slots h)) t.index
+let iter f t = P.iter (fun ~w0:_ ~w1:_ h -> f (Slots.get t.slots h)) t.index

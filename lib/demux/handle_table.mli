@@ -16,19 +16,20 @@ val create : ?initial_capacity:int -> unit -> 'a t
     resize. *)
 
 val length : 'a t -> int
-val find : 'a t -> w0:int -> w1:int -> 'a
+val find : 'a t -> Packet.Flow.t -> 'a
 (** @raise Not_found if the key is absent. *)
 
-val find_opt : 'a t -> w0:int -> w1:int -> 'a option
-val mem : 'a t -> w0:int -> w1:int -> bool
+val find_opt : 'a t -> Packet.Flow.t -> 'a option
+val mem : 'a t -> Packet.Flow.t -> bool
 
-val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
+val replace : 'a t -> Packet.Flow.t -> 'a -> unit
 (** Insert, or overwrite in place: an existing key keeps its handle. *)
 
-val remove : 'a t -> w0:int -> w1:int -> unit
+val remove : 'a t -> Packet.Flow.t -> unit
 (** Remove the binding if present and free its handle. *)
 
-val iter : (w0:int -> w1:int -> 'a -> unit) -> 'a t -> unit
+val iter : ('a -> unit) -> 'a t -> unit
+(** Every bound value, in the engine's slot order. *)
 
 val handles : 'a t -> int
 (** Distinct handles ever issued: the peak resident count, since freed

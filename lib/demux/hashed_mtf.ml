@@ -26,24 +26,22 @@ let bucket_index t flow =
   Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.buckets) flow
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  if Handle_table.mem t.index ~w0 ~w1 then
+  if Handle_table.mem t.index flow then
     invalid_arg "Hashed_mtf.insert: duplicate flow";
   let pcb = Pcb.make ~id:t.next_id ~flow data in
   t.next_id <- t.next_id + 1;
   let home = bucket_index t flow in
   let node = Chain.push_front t.buckets.(home) pcb in
-  Handle_table.replace t.index ~w0 ~w1 { node; home };
+  Handle_table.replace t.index flow { node; home };
   Lookup_stats.note_insert t.stats;
   pcb
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  match Handle_table.find t.index ~w0 ~w1 with
+  match Handle_table.find t.index flow with
   | exception Not_found -> None
   | { node; home } ->
     Chain.remove t.buckets.(home) node;
-    Handle_table.remove t.index ~w0 ~w1;
+    Handle_table.remove t.index flow;
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
 
@@ -62,10 +60,7 @@ let lookup t ?kind:_ flow =
     None
 
 let note_send t flow =
-  match
-    Handle_table.find t.index ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
+  match Handle_table.find t.index flow with
   | { node; _ } -> Pcb.note_tx (Chain.pcb node)
   | exception Not_found -> ()
 

@@ -15,7 +15,7 @@
      non-matching slot is rejected on a single byte load.
    - hash  : the full stored hash per occupied slot (so probe
      distances and resize need no re-hashing).
-   - w0/w1 : the inline packed key words ([Flow_key] layout).
+   - w0/w1 : the inline packed key words ([Packet.Flow.t]'s layout).
    - value : one int.  Boxed values go through Handle_table, which
      stores a handle here.
 
@@ -100,7 +100,8 @@ module type S = sig
   end
 end
 
-let default_hash = Flow_key.hash_words
+let default_hash w0 w1 =
+  Hashing.Hashers.hash_words Hashing.Hashers.multiplicative w0 w1
 let min_capacity = 8
 
 (* Per-mutation drain budget: at most [migration_entries] entries are

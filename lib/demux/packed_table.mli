@@ -1,7 +1,7 @@
 (** The flow index: Robin-Hood open addressing over packed flow keys,
     with incremental resize, over pluggable {!Storage} backends.
 
-    Keys are the two packed words of {!Flow_key} stored inline in
+    Keys are the two packed words of a {!Packet.Flow.t} stored inline in
     struct-of-arrays slots, with a one-byte tag per slot that rejects
     almost every non-matching probe on a single byte compare before
     the key words are touched.  Collisions use Robin-Hood displacement
@@ -21,6 +21,11 @@
     copy-on-write {!Epoch.Packed} builds its private regions with
     {!S.Region}.  [find] on a present key performs zero minor-heap
     allocations (DESIGN.md section 10). *)
+
+val default_hash : int -> int -> int
+(** The multiplicative hash of the key words
+    ([Hashing.Hashers.hash_words Hashing.Hashers.multiplicative]), the
+    hash every flow table here probes with by default. *)
 
 type resize =
   | Doubling      (** Stop-the-world rebuild at the growth trigger. *)
@@ -42,7 +47,7 @@ module type S = sig
     ?hash:(int -> int -> int) -> ?initial_capacity:int -> ?resize:resize ->
     unit -> t
   (** [create ()] makes an empty table.  [hash] defaults to
-      {!Flow_key.hash_words}; override only in tests (it must be fixed
+      {!default_hash}; override only in tests (it must be fixed
       for the table's lifetime).  [initial_capacity] is rounded up to
       a power of two, minimum 8.  [resize] (default {!Incremental}) is
       the growth policy, fixed for the table's lifetime.

@@ -1,9 +1,10 @@
 (** Slot storage backends for packed flow tables.
 
     A {!S} value is the raw storage of one open-addressing region:
-    per-slot tag bytes, stored hashes, the two packed {!Flow_key}
-    words, and one integer value lane — the struct-of-arrays layout
-    the flat table probes, factored out so the one table engine
+    per-slot tag bytes, stored hashes, the two words of a
+    {!Packet.Flow.t} key, and one integer value lane — the
+    struct-of-arrays layout the flat table probes, factored out so the
+    one table engine
     ({!Packed_table}) runs over two physical layouts:
 
     - {!Heap}: [Bytes] + [int array].  The arrays
@@ -18,14 +19,14 @@
       rather than whenever the collector next notices (DESIGN.md
       section 14).
 
-    Both lanes hold only immediates (the packed key words are ints by
-    construction, {!Flow_key}), so neither backend's stores go through
-    the GC write barrier — [caml_modify] is never called on the hot
+    Both lanes hold only immediates (the key words are ints by
+    construction, {!Packet.Flow}), so neither backend's stores go
+    through the GC write barrier — [caml_modify] is never called on the hot
     path, heap or off-heap.
 
     All slot accessors are unchecked for speed: callers index with
     [h land mask t], which is in bounds by construction.  Requires a
-    63-bit-int platform (guarded at startup by {!Flow_key}). *)
+    63-bit-int platform (guarded at startup by {!Packet.Flow}). *)
 
 val dead_tag : int
 (** The reserved tag byte (255) shared by {!S.scrub} and

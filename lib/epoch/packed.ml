@@ -86,7 +86,7 @@ module Make (St : Demux.Storage.S) : S = struct
 
   let backend = St.backend
 
-  let create ?(hash = Demux.Flow_key.hash_words)
+  let create ?(hash = Demux.Packed_table.default_hash)
       ?(initial_capacity = min_capacity) ?max_readers () =
     if initial_capacity < 0 then
       invalid_arg "Epoch.Packed.create: initial_capacity < 0";
@@ -159,10 +159,7 @@ module Make (St : Demux.Storage.S) : S = struct
     finish_lookup reader slot;
     result
 
-  let find_flow t flow =
-    find_opt t
-      ~w0:(Demux.Flow_key.w0_of_flow flow)
-      ~w1:(Demux.Flow_key.w1_of_flow flow)
+  let find_flow t { Packet.Flow.w0; w1 } = find_opt t ~w0 ~w1
 
   let lookup_batch_hashed t flows ~hash_at =
     let n = Array.length flows in
@@ -174,9 +171,7 @@ module Make (St : Demux.Storage.S) : S = struct
       let r = Atomic.get t.published in
       let found = ref 0 in
       for i = 0 to n - 1 do
-        let flow = flows.(i) in
-        let w0 = Demux.Flow_key.w0_of_flow flow in
-        let w1 = Demux.Flow_key.w1_of_flow flow in
+        let { Packet.Flow.w0; w1 } = flows.(i) in
         Demux.Lookup_stats.begin_lookup reader.stats;
         Demux.Lookup_stats.examine reader.stats ();
         let hit = Region.slot r ~hash:(hash_at t i w0 w1) ~w0 ~w1 >= 0 in
@@ -308,17 +303,11 @@ module Make (St : Demux.Storage.S) : S = struct
     let pcbs = Demux.Handle_table.Slots.create () in
     let stats = Demux.Lookup_stats.create () in
     let next_id = ref 0 in
-    let words flow =
-      (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-    in
-    let handle flow =
-      let w0, w1 = words flow in
-      get table ~w0 ~w1 ~default:(-1)
-    in
+    let handle { Packet.Flow.w0; w1 } = get table ~w0 ~w1 ~default:(-1) in
     { Demux.Registry.name = "epoch-table";
       insert =
         (fun flow v ->
-          let w0, w1 = words flow in
+          let { Packet.Flow.w0; w1 } = flow in
           if mem table ~w0 ~w1 then
             invalid_arg "epoch-table.insert: duplicate flow";
           let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
@@ -334,8 +323,7 @@ module Make (St : Demux.Storage.S) : S = struct
           | -1 -> None
           | h ->
             let pcb = Demux.Handle_table.Slots.get pcbs h in
-            let w0, w1 = words flow in
-            remove table ~w0 ~w1;
+            remove table ~w0:flow.Packet.Flow.w0 ~w1:flow.w1;
             Demux.Handle_table.Slots.release pcbs h;
             Demux.Lookup_stats.note_remove stats;
             Some pcb);

@@ -3,7 +3,7 @@
 
     Regions are {!Demux.Packed_table} regions — the one Robin-Hood
     engine's packed struct-of-arrays slots, 1-byte tag filter and
-    {!Demux.Flow_key} two-word keys — but where the engine mutates
+    two-word {!Packet.Flow.t} keys — but where the engine mutates
     one region in place, this table treats every {e published} region
     as immutable:
 
@@ -41,7 +41,7 @@ module type S = sig
   val create :
     ?hash:(int -> int -> int) -> ?initial_capacity:int ->
     ?max_readers:int -> unit -> t
-  (** Defaults: {!Demux.Flow_key.hash_words}, the 8-slot minimum
+  (** Defaults: {!Demux.Packed_table.default_hash}, the 8-slot minimum
       capacity, 64 reader slots.  [hash] must match whatever full hash
       a batched caller supplies to {!lookup_batch_keyed}.
       @raise Invalid_argument if [initial_capacity < 0] or
@@ -57,7 +57,7 @@ module type S = sig
   val mem : t -> w0:int -> w1:int -> bool
 
   val find_flow : t -> Packet.Flow.t -> int option
-  (** [find_opt] over {!Demux.Flow_key.w0_of_flow}/[w1_of_flow]. *)
+  (** [find_opt] over the flow's key words. *)
 
   val lookup_batch : t -> Packet.Flow.t array -> int
   (** Probe every flow under one epoch pin; returns how many were

@@ -3,10 +3,9 @@
 
     A good mixing hash flips each output bit with probability ~1/2
     when any single input bit flips; folding hashes flip exactly the
-    bits the input bit maps onto.  This is the diagnostic behind the
-    structured-key collapses the test suite pins (xor-fold and the
-    multiplicative pre-fold on IPv6 keys): poor avalanche means
-    correlated key bits can cancel. *)
+    bits the input bit maps onto.  Poor avalanche means correlated key
+    bits can cancel, as they do under xor-fold and the multiplicative
+    hash's XOR pre-fold. *)
 
 type report = {
   output_bits : int;      (** Width examined (low bits of the hash). *)

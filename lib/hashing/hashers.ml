@@ -1,16 +1,12 @@
 type t = {
   name : string;
   run : bytes -> int;
-  (* Allocation-free specialisation over a flow's fields, for hashers
-     whose byte-serial definition folds cleanly over the 96-bit key.
-     Must agree exactly with [run (Flow.to_key_bytes flow)] (asserted
-     by a qcheck property in test_hashing.ml). *)
-  run_flow : (Packet.Flow.t -> int) option;
-  (* Same specialisation over the packed key words of
-     [Demux.Flow_key]: w0 = local addr lsl 16 lor local port,
-     w1 = remote addr lsl 16 lor remote port.  Must agree exactly with
-     [run] over the corresponding 12-byte key. *)
-  run_words : (int -> int -> int) option;
+  (* The hash of a flow key given as its two packed words
+     ([Packet.Flow.w0]/[w1]).  Must agree exactly with [run] over the
+     corresponding 12-byte key (asserted by a qcheck property in
+     test_hashing.ml); hashers whose byte-serial definition folds
+     cleanly over the words compute it without allocating. *)
+  run_words : int -> int -> int;
 }
 
 let name t = t.name
@@ -20,48 +16,30 @@ let bucket t ~buckets key =
   if buckets <= 0 then invalid_arg "Hashers.bucket: buckets <= 0";
   hash t key mod buckets
 
-let hash_flow t flow =
-  match t.run_flow with
-  | Some run -> run flow
-  | None -> hash t (Packet.Flow.to_key_bytes flow)
-
-let bucket_flow t ~buckets flow =
-  if buckets <= 0 then invalid_arg "Hashers.bucket_flow: buckets <= 0";
-  hash_flow t flow mod buckets
-
-(* The canonical 12-byte key carrying the packed words, for hashers
-   whose byte-serial definition has no word-folded shortcut. *)
-let bytes_of_words w0 w1 =
-  let buf = Bytes.create 12 in
-  Bytes.set_int32_be buf 0 (Int32.of_int (w0 lsr 16));
-  Bytes.set_int32_be buf 4 (Int32.of_int (w1 lsr 16));
-  Bytes.set_uint16_be buf 8 (w0 land 0xFFFF);
-  Bytes.set_uint16_be buf 10 (w1 land 0xFFFF);
-  buf
-
-let hash_words t w0 w1 =
-  match t.run_words with
-  | Some run -> run w0 w1
-  | None -> hash t (bytes_of_words w0 w1)
+let hash_words t w0 w1 = t.run_words w0 w1
 
 let bucket_words t ~buckets w0 w1 =
   if buckets <= 0 then invalid_arg "Hashers.bucket_words: buckets <= 0";
   hash_words t w0 w1 mod buckets
 
-(* [fold32 (Flow.to_key_bytes flow)] without the 12-byte allocation:
-   the key's three big-endian 32-bit words are (local addr), (remote
-   addr), (local port << 16 | remote port).  Pure int arithmetic on
-   purpose — boxed [Int32] intermediates would allocate on the
-   per-packet receive path (the zero-allocation bar of DESIGN.md
-   section 10). *)
-let addr_int a = Int32.to_int (Packet.Ipv4.addr_to_int32 a) land 0xFFFFFFFF
+let hash_flow t { Packet.Flow.w0; w1 } = t.run_words w0 w1
 
-let fold32_flow (flow : Packet.Flow.t) =
-  addr_int flow.Packet.Flow.local.Packet.Flow.addr
-  lxor addr_int flow.Packet.Flow.remote.Packet.Flow.addr
-  lxor ((flow.Packet.Flow.local.Packet.Flow.port lsl 16)
-       lor flow.Packet.Flow.remote.Packet.Flow.port)
+let bucket_flow t ~buckets { Packet.Flow.w0; w1 } =
+  bucket_words t ~buckets w0 w1
 
+(* A hasher with no word-level shortcut hashes the canonical key
+   bytes. *)
+let byte_serial name run =
+  let run_words w0 w1 =
+    run (Packet.Flow.to_key_bytes (Packet.Flow.of_words ~w0 ~w1))
+  in
+  { name; run; run_words }
+
+(* [fold32] of the canonical key without the 12-byte allocation: the
+   key's three big-endian 32-bit words are (local addr), (remote addr),
+   (local port << 16 | remote port).  Pure int arithmetic on purpose —
+   boxed [Int32] intermediates would allocate on the per-packet receive
+   path (the zero-allocation bar of DESIGN.md section 10). *)
 let fold32_words w0 w1 =
   (w0 lsr 16) lxor (w1 lsr 16)
   lxor (((w0 land 0xFFFF) lsl 16) lor (w1 land 0xFFFF))
@@ -77,19 +55,8 @@ let fold_words16 key combine init =
   if !i < len then acc := combine !acc (Bytes.get_uint8 key !i);
   !acc
 
-(* The 16-bit words of the flow key, in order. *)
-let fold_words16_flow (flow : Packet.Flow.t) combine init =
-  let local = addr_int flow.Packet.Flow.local.Packet.Flow.addr in
-  let remote = addr_int flow.Packet.Flow.remote.Packet.Flow.addr in
-  let acc = combine init ((local lsr 16) land 0xFFFF) in
-  let acc = combine acc (local land 0xFFFF) in
-  let acc = combine acc ((remote lsr 16) land 0xFFFF) in
-  let acc = combine acc (remote land 0xFFFF) in
-  let acc = combine acc flow.Packet.Flow.local.Packet.Flow.port in
-  combine acc flow.Packet.Flow.remote.Packet.Flow.port
-
-(* Same words, from the packed representation: the canonical key-byte
-   order is local addr, remote addr, local port, remote port. *)
+(* The 16-bit words of the flow key, in the canonical key-byte order:
+   local addr, remote addr, local port, remote port. *)
 let fold_words16_words w0 w1 combine init =
   let acc = combine init (w0 lsr 32) in
   let acc = combine acc ((w0 lsr 16) land 0xFFFF) in
@@ -100,14 +67,12 @@ let fold_words16_words w0 w1 combine init =
 
 let xor_fold =
   { name = "xor-fold"; run = (fun k -> fold_words16 k ( lxor ) 0);
-    run_flow = Some (fun flow -> fold_words16_flow flow ( lxor ) 0);
-    run_words = Some (fun w0 w1 -> fold_words16_words w0 w1 ( lxor ) 0) }
+    run_words = (fun w0 w1 -> fold_words16_words w0 w1 ( lxor ) 0) }
 
 let add_fold =
   let step a w = (a + w) land 0x3FFFFFFF in
   { name = "add-fold"; run = (fun k -> fold_words16 k step 0);
-    run_flow = Some (fun flow -> fold_words16_flow flow step 0);
-    run_words = Some (fun w0 w1 -> fold_words16_words w0 w1 step 0) }
+    run_words = (fun w0 w1 -> fold_words16_words w0 w1 step 0) }
 
 let fold32 key =
   (* Fold the key into 32 bits by XOR of big-endian 32-bit words. *)
@@ -142,37 +107,34 @@ let multiplicative =
         (* Take the high 30 bits: multiplicative hashing concentrates
            its mixing in the high half of the product. *)
         Int32.to_int (Int32.shift_right_logical product 2));
-    run_flow = Some (fun flow -> multiply_golden (fold32_flow flow));
-    run_words = Some (fun w0 w1 -> multiply_golden (fold32_words w0 w1)) }
+    run_words = (fun w0 w1 -> multiply_golden (fold32_words w0 w1)) }
 
 let fnv1a =
   let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  { name = "fnv1a"; run_flow = None; run_words = None;
-    run =
-      (fun k ->
-        let h = ref offset_basis in
-        Bytes.iter
-          (fun c ->
-            h := Int64.logxor !h (Int64.of_int (Char.code c));
-            h := Int64.mul !h prime)
-          k;
-        Int64.to_int (Int64.shift_right_logical !h 2)) }
+  byte_serial "fnv1a"
+    (fun k ->
+      let h = ref offset_basis in
+      Bytes.iter
+        (fun c ->
+          h := Int64.logxor !h (Int64.of_int (Char.code c));
+          h := Int64.mul !h prime)
+        k;
+      Int64.to_int (Int64.shift_right_logical !h 2))
 
 let jenkins_oaat =
-  { name = "jenkins-oaat"; run_flow = None; run_words = None;
-    run =
-      (fun k ->
-        let h = ref 0l in
-        Bytes.iter
-          (fun c ->
-            h := Int32.add !h (Int32.of_int (Char.code c));
-            h := Int32.add !h (Int32.shift_left !h 10);
-            h := Int32.logxor !h (Int32.shift_right_logical !h 6))
-          k;
-        h := Int32.add !h (Int32.shift_left !h 3);
-        h := Int32.logxor !h (Int32.shift_right_logical !h 11);
-        h := Int32.add !h (Int32.shift_left !h 15);
-        Int32.to_int (Int32.shift_right_logical !h 2)) }
+  byte_serial "jenkins-oaat"
+    (fun k ->
+      let h = ref 0l in
+      Bytes.iter
+        (fun c ->
+          h := Int32.add !h (Int32.of_int (Char.code c));
+          h := Int32.add !h (Int32.shift_left !h 10);
+          h := Int32.logxor !h (Int32.shift_right_logical !h 6))
+        k;
+      h := Int32.add !h (Int32.shift_left !h 3);
+      h := Int32.logxor !h (Int32.shift_right_logical !h 11);
+      h := Int32.add !h (Int32.shift_left !h 15);
+      Int32.to_int (Int32.shift_right_logical !h 2))
 
 let crc32_table =
   lazy
@@ -198,8 +160,8 @@ let crc32_digest ?(initial = 0l) key =
   Int32.logxor !crc 0xFFFFFFFFl
 
 let crc32 =
-  { name = "crc32"; run_flow = None; run_words = None;
-    run = (fun k -> Int32.to_int (Int32.shift_right_logical (crc32_digest k) 2)) }
+  byte_serial "crc32" (fun k ->
+      Int32.to_int (Int32.shift_right_logical (crc32_digest k) 2))
 
 let crc16_ccitt_table =
   lazy
@@ -212,17 +174,16 @@ let crc16_ccitt_table =
          !c))
 
 let crc16_ccitt =
-  { name = "crc16-ccitt"; run_flow = None; run_words = None;
-    run =
-      (fun k ->
-        let table = Lazy.force crc16_ccitt_table in
-        let crc = ref 0xFFFF in
-        Bytes.iter
-          (fun c ->
-            let index = ((!crc lsr 8) lxor Char.code c) land 0xFF in
-            crc := ((!crc lsl 8) lxor table.(index)) land 0xFFFF)
-          k;
-        !crc) }
+  byte_serial "crc16-ccitt"
+    (fun k ->
+      let table = Lazy.force crc16_ccitt_table in
+      let crc = ref 0xFFFF in
+      Bytes.iter
+        (fun c ->
+          let index = ((!crc lsr 8) lxor Char.code c) land 0xFF in
+          crc := ((!crc lsl 8) lxor table.(index)) land 0xFFFF)
+        k;
+      !crc)
 
 (* Pearson's permutation table: the digits-of-pi permutation would do;
    a fixed xorshift-generated permutation of 0..255 is equivalent. *)
@@ -246,17 +207,16 @@ let pearson_table =
      table)
 
 let pearson =
-  { name = "pearson"; run_flow = None; run_words = None;
-    run =
-      (fun k ->
-        let table = Lazy.force pearson_table in
-        let pass seed =
-          let h = ref seed in
-          Bytes.iter (fun c -> h := table.(!h lxor Char.code c)) k;
-          !h
-        in
-        (* Two independent passes give a 16-bit result. *)
-        (pass 0 lsl 8) lor pass 1) }
+  byte_serial "pearson"
+    (fun k ->
+      let table = Lazy.force pearson_table in
+      let pass seed =
+        let h = ref seed in
+        Bytes.iter (fun c -> h := table.(!h lxor Char.code c)) k;
+        !h
+      in
+      (* Two independent passes give a 16-bit result. *)
+      (pass 0 lsl 8) lor pass 1)
 
 let all =
   [ xor_fold; add_fold; multiplicative; fnv1a; jenkins_oaat; crc32;

@@ -1,40 +1,48 @@
-type addr = int32
+type addr = int
 
-let addr_of_int32 x = x
-let addr_to_int32 x = x
+let addr_of_int x =
+  if x < 0 || x > 0xFFFF_FFFF then invalid_arg "Ipv4.addr_of_int: out of range";
+  x
 
 let addr_of_octets a b c d =
   let check o =
     if o < 0 || o > 255 then invalid_arg "Ipv4.addr_of_octets: octet out of range"
   in
   check a; check b; check c; check d;
-  Int32.logor
-    (Int32.shift_left (Int32.of_int a) 24)
-    (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+
+let decimal ~max_digits s =
+  let n = String.length s in
+  let digit c = c >= '0' && c <= '9' in
+  if n = 0 || n > max_digits || not (String.for_all digit s) then None
+  else Some (int_of_string s)
 
 let addr_of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-    let octet x =
-      match int_of_string_opt x with
-      | Some v when v >= 0 && v <= 255 && x <> "" -> Some v
-      | Some _ | None -> None
-    in
-    match (octet a, octet b, octet c, octet d) with
-    | Some a, Some b, Some c, Some d -> Ok (addr_of_octets a b c d)
-    | _ -> Error (Printf.sprintf "invalid IPv4 address %S" s))
+  let octet x =
+    match decimal ~max_digits:3 x with
+    | Some v when v <= 255 -> Some v
+    | Some _ | None -> None
+  in
+  match List.map octet (String.split_on_char '.' s) with
+  | [ Some a; Some b; Some c; Some d ] -> Ok (addr_of_octets a b c d)
   | _ -> Error (Printf.sprintf "invalid IPv4 address %S" s)
 
-let octet addr shift =
-  Int32.to_int (Int32.logand (Int32.shift_right_logical addr shift) 0xFFl)
-
 let addr_to_string addr =
-  Printf.sprintf "%d.%d.%d.%d" (octet addr 24) (octet addr 16) (octet addr 8)
-    (octet addr 0)
+  Printf.sprintf "%d.%d.%d.%d" (addr lsr 24) ((addr lsr 16) land 0xFF)
+    ((addr lsr 8) land 0xFF) (addr land 0xFF)
 
 let pp_addr ppf addr = Format.pp_print_string ppf (addr_to_string addr)
-let equal_addr = Int32.equal
-let compare_addr = Int32.compare
+let equal_addr = Int.equal
+
+(* Flipping bit 31 maps the signed 32-bit order onto the ints' order. *)
+let compare_addr a b = Int.compare (a lxor 0x8000_0000) (b lxor 0x8000_0000)
+
+let get_addr buf off =
+  (Bytes.get_uint16_be buf off lsl 16) lor Bytes.get_uint16_be buf (off + 2)
+
+let set_addr buf off addr =
+  Bytes.set_uint16_be buf off (addr lsr 16);
+  Bytes.set_uint16_be buf (off + 2) (addr land 0xFFFF)
 
 type protocol = Tcp | Udp | Icmp | Other of int
 
@@ -98,8 +106,8 @@ let serialize t buf ~off =
   Bytes.set_uint8 buf (off + 8) t.ttl;
   Bytes.set_uint8 buf (off + 9) (protocol_to_int t.protocol);
   Bytes.set_uint16_be buf (off + 10) 0 (* checksum placeholder *);
-  Bytes.set_int32_be buf (off + 12) t.src;
-  Bytes.set_int32_be buf (off + 16) t.dst;
+  set_addr buf (off + 12) t.src;
+  set_addr buf (off + 16) t.dst;
   let csum = Checksum.compute buf ~off ~len:header_length in
   Bytes.set_uint16_be buf (off + 10) csum
 
@@ -130,16 +138,14 @@ let parse buf ~off =
               fragment_offset = flags land 0x1FFF;
               ttl = Bytes.get_uint8 buf (off + 8);
               protocol = protocol_of_int (Bytes.get_uint8 buf (off + 9));
-              src = Bytes.get_int32_be buf (off + 12);
-              dst = Bytes.get_int32_be buf (off + 16);
+              src = get_addr buf (off + 12);
+              dst = get_addr buf (off + 16);
               payload_length = total - hlen }
           in
           Ok (t, off + hlen)
 
 let pseudo_header_sum t =
-  let hi32 a = Int32.to_int (Int32.shift_right_logical a 16) in
-  let lo32 a = Int32.to_int (Int32.logand a 0xFFFFl) in
-  hi32 t.src + lo32 t.src + hi32 t.dst + lo32 t.dst
+  (t.src lsr 16) + (t.src land 0xFFFF) + (t.dst lsr 16) + (t.dst land 0xFFFF)
   + protocol_to_int t.protocol + t.payload_length
 
 let pp ppf t =

@@ -6,23 +6,41 @@
 
 (** {1 Addresses} *)
 
-type addr = private int32
-(** An IPv4 address in host order, e.g. 10.0.0.1 is [0x0A000001l]. *)
+type addr = private int
+(** An IPv4 address as an immediate in [0, 2{^32}-1], e.g. 10.0.0.1 is
+    [0x0A000001]. *)
 
-val addr_of_int32 : int32 -> addr
-val addr_to_int32 : addr -> int32
+val addr_of_int : int -> addr
+(** @raise Invalid_argument if the int is outside [0, 2{^32}-1]. *)
 
 val addr_of_octets : int -> int -> int -> int -> addr
 (** [addr_of_octets a b c d] is the address [a.b.c.d].
     @raise Invalid_argument if any octet is outside [0, 255]. *)
 
 val addr_of_string : string -> (addr, string) result
-(** Parse dotted-quad notation. *)
+(** Parse dotted-quad notation: four octets of 1 to 3 decimal digits
+    each (see {!decimal}). *)
+
+val decimal : max_digits:int -> string -> int option
+(** [decimal ~max_digits s] reads 1 to [max_digits] ASCII decimal
+    digits and nothing else, so a sign, an underscore or a radix
+    prefix ([0x], [0o], [0b]) is rejected. *)
 
 val addr_to_string : addr -> string
 val pp_addr : Format.formatter -> addr -> unit
 val equal_addr : addr -> addr -> bool
+
 val compare_addr : addr -> addr -> int
+(** Orders addresses as signed 32-bit values, so 128.0.0.0 and above
+    sort before 0.0.0.0. *)
+
+val get_addr : bytes -> int -> addr
+(** The big-endian address at a byte offset.
+    @raise Invalid_argument if the 4 bytes are out of bounds. *)
+
+val set_addr : bytes -> int -> addr -> unit
+(** Write an address big-endian at a byte offset.
+    @raise Invalid_argument if the 4 bytes are out of bounds. *)
 
 (** {1 Header} *)
 

@@ -1,17 +1,30 @@
 type t = { ip : Ipv4.t; tcp : Tcp_header.t; payload : string }
 
-let make ?seq ?ack_number ?flags ?window ?options ?(payload = "") ?ttl
-    ?identification ~(src : Flow.endpoint) ~(dst : Flow.endpoint) () =
+let build ?seq ?ack_number ?flags ?window ?options ?(payload = "") ?ttl
+    ?identification ~src_addr ~src_port ~dst_addr ~dst_port () =
   let tcp =
-    Tcp_header.make ?seq ?ack_number ?flags ?window ?options
-      ~src_port:src.Flow.port ~dst_port:dst.Flow.port ()
+    Tcp_header.make ?seq ?ack_number ?flags ?window ?options ~src_port
+      ~dst_port ()
   in
   let tcp_len = Tcp_header.header_length tcp + String.length payload in
   let ip =
-    Ipv4.make ?ttl ?identification ~src:src.Flow.addr ~dst:dst.Flow.addr
+    Ipv4.make ?ttl ?identification ~src:src_addr ~dst:dst_addr
       ~protocol:Ipv4.Tcp ~payload_length:tcp_len ()
   in
   { ip; tcp; payload }
+
+let make ?seq ?ack_number ?flags ?window ?options ?payload ?ttl
+    ?identification ~(src : Flow.endpoint) ~(dst : Flow.endpoint) () =
+  build ?seq ?ack_number ?flags ?window ?options ?payload ?ttl
+    ?identification ~src_addr:src.Flow.addr ~src_port:src.Flow.port
+    ~dst_addr:dst.Flow.addr ~dst_port:dst.Flow.port ()
+
+let of_flow ?seq ?ack_number ?flags ?payload (flow : Flow.t) =
+  build ?seq ?ack_number ?flags ?payload
+    ~src_addr:(Flow.addr_of_word flow.Flow.w0)
+    ~src_port:(Flow.port_of_word flow.Flow.w0)
+    ~dst_addr:(Flow.addr_of_word flow.Flow.w1)
+    ~dst_port:(Flow.port_of_word flow.Flow.w1) ()
 
 let flow t = Flow.of_headers t.ip t.tcp
 let length t = Ipv4.header_length + t.ip.Ipv4.payload_length
@@ -39,26 +52,21 @@ let peek_flow buf ~off =
   let len = Bytes.length buf - off in
   if len < Ipv4.header_length + 4 then Error "segment: truncated datagram"
   else
-    let b i = Char.code (Bytes.unsafe_get buf (off + i)) in
-    let first = b 0 in
+    let first = Bytes.get_uint8 buf off in
     if first lsr 4 <> 4 then Error "ipv4: bad version"
     else
       let ihl = (first land 0xF) * 4 in
       if ihl < Ipv4.header_length then Error "ipv4: header too short"
       else if len < ihl + 4 then Error "segment: truncated datagram"
-      else if b 9 <> 6 then Error "segment: not TCP"
+      else if Bytes.get_uint8 buf (off + 9) <> 6 then Error "segment: not TCP"
       else
-        let addr i =
-          Ipv4.addr_of_int32
-            (Int32.logor
-               (Int32.shift_left (Int32.of_int ((b i lsl 8) lor b (i + 1))) 16)
-               (Int32.of_int ((b (i + 2) lsl 8) lor b (i + 3))))
-        in
-        let port i = (b i lsl 8) lor b (i + 1) in
-        let src = { Flow.addr = addr 12; port = port ihl } in
-        let dst = { Flow.addr = addr 16; port = port (ihl + 2) } in
         (* The receiver's key: local = destination, remote = source. *)
-        Ok { Flow.local = dst; remote = src }
+        Ok
+          (Flow.make
+             ~local_addr:(Ipv4.get_addr buf (off + 16))
+             ~local_port:(Bytes.get_uint16_be buf (off + ihl + 2))
+             ~remote_addr:(Ipv4.get_addr buf (off + 12))
+             ~remote_port:(Bytes.get_uint16_be buf (off + ihl)))
 
 let parse ?(verify_checksum = true) buf ~off =
   match Ipv4.parse buf ~off with

@@ -11,6 +11,13 @@ val make :
     @raise Invalid_argument on out-of-range fields (see
     {!Tcp_header.make}, {!Ipv4.make}). *)
 
+val of_flow :
+  ?seq:int32 -> ?ack_number:int32 -> ?flags:Tcp_header.flags ->
+  ?payload:string -> Flow.t -> t
+(** The segment this host sends on [flow]: from its local endpoint to
+    its remote one.  Equal to {!make} with [~src:(Flow.local flow)]
+    and [~dst:(Flow.remote flow)], without building either endpoint. *)
+
 val flow : t -> Flow.t
 (** The demultiplexing key {e at the receiver} of this segment. *)
 

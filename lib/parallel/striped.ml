@@ -47,9 +47,7 @@ let with_stripe stripe f =
   Fun.protect ~finally:(fun () -> Mutex.unlock stripe.mutex) f
 
 let insert_locked t stripe flow data =
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
-  if Demux.Handle_table.mem stripe.index ~w0 ~w1 then
+  if Demux.Handle_table.mem stripe.index flow then
     invalid_arg "Striped.insert: duplicate flow";
   let id = Atomic.fetch_and_add t.next_id 1 in
   let pcb = Demux.Pcb.make ~id ~flow data in
@@ -60,7 +58,7 @@ let insert_locked t stripe flow data =
     match t.pressure with Some _ -> Obs.Clock.now_ns () | None -> 0
   in
   let node = Demux.Chain.push_front stripe.chain pcb in
-  Demux.Handle_table.replace stripe.index ~w0 ~w1 node;
+  Demux.Handle_table.replace stripe.index flow node;
   (match t.pressure with
   | Some p -> Pressure.note_insert_ns p (Obs.Clock.now_ns () - started)
   | None -> ());
@@ -80,9 +78,7 @@ let insert t flow data =
 let try_insert t flow data =
   let stripe = stripe_of_flow t flow in
   with_stripe stripe (fun () ->
-      let w0 = Demux.Flow_key.w0_of_flow flow
-      and w1 = Demux.Flow_key.w1_of_flow flow in
-      if Demux.Handle_table.mem stripe.index ~w0 ~w1 then `Duplicate
+      if Demux.Handle_table.mem stripe.index flow then `Duplicate
       else
         match t.pressure with
         | Some p when not (Pressure.admits_new_flows p) ->
@@ -93,17 +89,15 @@ let try_insert t flow data =
 
 let remove t flow =
   let stripe = stripe_of_flow t flow in
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
   with_stripe stripe (fun () ->
-      match Demux.Handle_table.find stripe.index ~w0 ~w1 with
+      match Demux.Handle_table.find stripe.index flow with
       | exception Not_found -> None
       | node ->
         (match stripe.cache with
         | Some cached when cached == node -> stripe.cache <- None
         | Some _ | None -> ());
         Demux.Chain.remove stripe.chain node;
-        Demux.Handle_table.remove stripe.index ~w0 ~w1;
+        Demux.Handle_table.remove stripe.index flow;
         Demux.Lookup_stats.note_remove stripe.stats;
         Atomic.decr t.population;
         Some (Demux.Chain.pcb node))
@@ -233,10 +227,8 @@ let insert_batch t entries =
 
 let note_send t flow =
   let stripe = stripe_of_flow t flow in
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
   with_stripe stripe (fun () ->
-      match Demux.Handle_table.find stripe.index ~w0 ~w1 with
+      match Demux.Handle_table.find stripe.index flow with
       | node -> Demux.Pcb.note_tx (Demux.Chain.pcb node)
       | exception Not_found -> ())
 

@@ -104,13 +104,8 @@ let drive_batched ?histogram ?(tracer = Obs.Trace.disabled) ~backwards
 let epoch_target (module E : Epoch.Packed.S) flows =
   let d = E.create () in
   E.load d
-    (Array.mapi
-       (fun i flow ->
-         (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
-       flows);
-  ( (fun flow ->
-      E.mem d ~w0:(Demux.Flow_key.w0_of_flow flow)
-        ~w1:(Demux.Flow_key.w1_of_flow flow)),
+    (Array.mapi (fun i { Packet.Flow.w0; w1 } -> (w0, w1, i)) flows);
+  ( (fun { Packet.Flow.w0; w1 } -> E.mem d ~w0 ~w1),
     fun batch -> E.lookup_batch d batch )
 
 let run ?obs ?trace_capacity ?(connections = 2000)
@@ -162,17 +157,10 @@ let run ?obs ?trace_capacity ?(connections = 2000)
          wins, nobody reads it here.) *)
       let d = Demux.Cuckoo_table.Heap.create () in
       Array.iteri
-        (fun i flow ->
-          Demux.Cuckoo_table.Heap.replace d
-            ~w0:(Demux.Flow_key.w0_of_flow flow)
-            ~w1:(Demux.Flow_key.w1_of_flow flow)
-            i)
+        (fun i { Packet.Flow.w0; w1 } ->
+          Demux.Cuckoo_table.Heap.replace d ~w0 ~w1 i)
         flows;
-      let mem flow =
-        Demux.Cuckoo_table.Heap.mem d
-          ~w0:(Demux.Flow_key.w0_of_flow flow)
-          ~w1:(Demux.Flow_key.w1_of_flow flow)
-      in
+      let mem { Packet.Flow.w0; w1 } = Demux.Cuckoo_table.Heap.mem d ~w0 ~w1 in
       ( mem,
         fun batch ->
           Array.fold_left

@@ -37,7 +37,7 @@ let client_iss flow = Tcpcore.Stack.deterministic_iss (Packet.Flow.reverse flow)
 (* One client's segments, in its own order.  [flow] is server-view;
    segments travel client -> server, so src is the remote endpoint. *)
 let flow_segments cfg flow =
-  let src = flow.Packet.Flow.remote and dst = flow.Packet.Flow.local in
+  let src = Packet.Flow.remote flow and dst = Packet.Flow.local flow in
   let c_iss = client_iss flow in
   let s_ack = Int32.add (cfg.server_iss flow) 1l in
   let seg ?payload ~flags ~seq ~ack_number () =

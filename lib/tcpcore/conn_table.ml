@@ -4,8 +4,9 @@
      wildcard (port only)  : port                      (bits 0-15)
      specific (addr, port) : 1 lsl 48 | addr lsl 16 | port
 
-   The bit-48 discriminant keeps the two namespaces disjoint; 49
-   significant bits fit an OCaml immediate int. *)
+   The specific form is the local endpoint's flow word with a bit-48
+   discriminant that keeps the two namespaces disjoint; 49 significant
+   bits fit an OCaml immediate int. *)
 type binding = int
 
 type ('conn, 'listener) t = {
@@ -18,14 +19,12 @@ let create spec =
 
 let demux t = t.demux
 
-let specific_binding addr port =
-  (1 lsl 48)
-  lor ((Int32.to_int (Packet.Ipv4.addr_to_int32 addr) land 0xFFFFFFFF) lsl 16)
-  lor port
+let specific word = (1 lsl 48) lor word
+let word addr port = Packet.Flow.word { Packet.Flow.addr; port }
 
 let binding_of ?addr port =
   match addr with
-  | Some addr -> specific_binding addr port
+  | Some addr -> specific (word addr port)
   | None -> port
 
 let listen ?addr t ~port listener =
@@ -37,15 +36,19 @@ let listen ?addr t ~port listener =
 
 let unlisten ?addr t ~port = Hashtbl.remove t.listeners (binding_of ?addr port)
 
-let listener ?addr t ~port =
-  let specific =
-    match addr with
-    | Some addr -> Hashtbl.find_opt t.listeners (specific_binding addr port)
-    | None -> None
-  in
-  match specific with
+(* The listener for a local endpoint's flow word: address-specific
+   first, then the wildcard on its port. *)
+let listener_of_word t word =
+  match Hashtbl.find_opt t.listeners (specific word) with
   | Some _ as found -> found
+  | None -> Hashtbl.find_opt t.listeners (word land 0xFFFF)
+
+let listener ?addr t ~port =
+  match addr with
+  | Some addr -> listener_of_word t (word addr port)
   | None -> Hashtbl.find_opt t.listeners port
+
+let listener_of_flow t flow = listener_of_word t (Packet.Flow.w0 flow)
 
 let add_connection t flow conn = t.demux.Demux.Registry.insert flow conn
 
@@ -63,10 +66,7 @@ let lookup t ?kind flow =
   match t.demux.Demux.Registry.lookup ?kind flow with
   | Some pcb -> Connection pcb
   | None -> (
-    let local = flow.Packet.Flow.local in
-    match
-      listener ~addr:local.Packet.Flow.addr t ~port:local.Packet.Flow.port
-    with
+    match listener_of_flow t flow with
     | Some listener -> Listener listener
     | None -> No_match)
 

@@ -31,6 +31,10 @@ val listener :
     address-specific binding if present, else the wildcard one.
     Without [addr], only the wildcard binding is consulted. *)
 
+val listener_of_flow : ('conn, 'listener) t -> Packet.Flow.t -> 'listener option
+(** [listener ~addr ~port] for the flow's local endpoint, read from its
+    key word without building the endpoint. *)
+
 val add_connection :
   ('conn, 'listener) t -> Packet.Flow.t -> 'conn -> 'conn Demux.Pcb.t
 (** @raise Invalid_argument if the flow already has a connection. *)

@@ -130,22 +130,12 @@ let fresh_iss t flow =
    depends on {e accept order}, so N per-core stacks accepting the
    same flows in any interleaving produce bit-identical sequence
    state — the property the cross-core lockstep tests pin. *)
-let deterministic_iss flow =
-  let word (ep : Packet.Flow.endpoint) =
-    ((Int32.to_int (Packet.Ipv4.addr_to_int32 ep.Packet.Flow.addr)
-      land 0xFFFFFFFF)
-     lsl 16)
-    lor ep.Packet.Flow.port
-  in
+let deterministic_iss { Packet.Flow.w0; w1 } =
   let mix h v =
     let h = (h lxor v) * 0x9E3779B1 in
     h lxor (h lsr 29)
   in
-  let h =
-    mix (mix 0x69737321 (word flow.Packet.Flow.local))
-      (word flow.Packet.Flow.remote)
-  in
-  Int32.of_int (h land 0x3FFFFFFF)
+  Int32.of_int (mix (mix 0x69737321 w0) w1 land 0x3FFFFFFF)
 
 let transmit t segment flow =
   t.outbox <- segment :: t.outbox;
@@ -153,10 +143,7 @@ let transmit t segment flow =
   Conn_table.note_send t.table flow
 
 let emit t ?(payload = "") ~flow ~flags ~seq ~ack_number () =
-  let segment =
-    Packet.Segment.make ~seq ~ack_number ~flags ~payload
-      ~src:flow.Packet.Flow.local ~dst:flow.Packet.Flow.remote ()
-  in
+  let segment = Packet.Segment.of_flow ~seq ~ack_number ~flags ~payload flow in
   transmit t segment flow;
   segment
 
@@ -192,8 +179,8 @@ let emit_reliable t conn ?payload ~flags ~seq ~ack_number () =
 let emit_rst t ~flow ~seq ~ack_number =
   (* No PCB exists for this flow, so no transmit-side bookkeeping. *)
   let segment =
-    Packet.Segment.make ~seq ~ack_number ~flags:Packet.Tcp_header.flag_rst
-      ~src:flow.Packet.Flow.local ~dst:flow.Packet.Flow.remote ()
+    Packet.Segment.of_flow ~seq ~ack_number ~flags:Packet.Tcp_header.flag_rst
+      flow
   in
   t.outbox <- segment :: t.outbox;
   t.segments_sent <- t.segments_sent + 1;
@@ -320,7 +307,7 @@ let extract_connection t flow =
 let adopt_connection t conn =
   if
     not
-      (Packet.Ipv4.equal_addr conn.flow.Packet.Flow.local.Packet.Flow.addr
+      (Packet.Ipv4.equal_addr (Packet.Flow.local conn.flow).Packet.Flow.addr
          t.local_addr)
   then invalid_arg "Stack.adopt_connection: flow is not addressed to this host";
   if State.equal conn.state State.Closed then
@@ -457,10 +444,7 @@ let deliver_data t conn (segment : Packet.Segment.t) =
         Int32.add conn.rcv_nxt (Int32.of_int (String.length payload));
       conn.bytes_in <- conn.bytes_in + String.length payload;
       ack_data t conn;
-      match
-        Conn_table.listener ~addr:conn.flow.Packet.Flow.local.Packet.Flow.addr
-          t.table ~port:conn.flow.Packet.Flow.local.Packet.Flow.port
-      with
+      match Conn_table.listener_of_flow t.table conn.flow with
       | Some { on_data } -> on_data t conn payload
       | None -> ()
     end

@@ -14,9 +14,7 @@ let op kind flow = { Check.Op.kind; flow }
 let robin_hood () =
   let mask = 7 in
   let home flow =
-    Demux.Flow_key.hash_words
-      (Demux.Flow_key.w0_of_flow flow)
-      (Demux.Flow_key.w1_of_flow flow)
+    Demux.Packed_table.default_hash (Packet.Flow.w0 flow) (Packet.Flow.w1 flow)
     land mask
   in
   let rec collect acc slot i =
@@ -193,9 +191,7 @@ let offheap_churn () =
    and re-insert all three. *)
 let cuckoo_kick () =
   let mask = 15 in
-  let hashes flow =
-    let w0 = Demux.Flow_key.w0_of_flow flow
-    and w1 = Demux.Flow_key.w1_of_flow flow in
+  let hashes { Packet.Flow.w0; w1 } =
     (Demux.Cuckoo_table.default_hash1 w0 w1,
      Demux.Cuckoo_table.default_hash2 w0 w1)
   in

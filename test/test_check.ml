@@ -83,6 +83,52 @@ let test_op_parse_errors () =
   bad "I 1.2.3.4 5.6.7.8:2";
   bad "I 300.2.3.4:1 5.6.7.8:2"
 
+(* Octets and ports are plain decimal: int_of_string's hex, octal,
+   binary, underscore and sign forms are refused, so every accepted
+   line names a flow that Op.print writes back with the same numbers. *)
+let test_op_strict_decimal () =
+  let addr_ok text expected =
+    match Packet.Ipv4.addr_of_string text with
+    | Ok a ->
+      Alcotest.(check string) text expected (Packet.Ipv4.addr_to_string a)
+    | Error e -> Alcotest.fail e
+  in
+  let addr_rejected text =
+    match Packet.Ipv4.addr_of_string text with
+    | Ok _ -> Alcotest.failf "accepted address %S" text
+    | Error _ -> ()
+  in
+  let line local remote = Printf.sprintf "I %s %s" local remote in
+  let endpoint_ok text expected =
+    match Check.Op.parse (line text "5.6.7.8:2") with
+    | Ok { Check.Op.ops = [| op |]; _ } ->
+      Alcotest.(check string) text ("I " ^ expected ^ " 5.6.7.8:2")
+        (Format.asprintf "%a" Check.Op.pp_op op)
+    | Ok _ -> Alcotest.failf "%S: not one op" text
+    | Error e -> Alcotest.fail e
+  in
+  let endpoint_rejected text =
+    match Check.Op.parse (line text "5.6.7.8:2") with
+    | Ok _ -> Alcotest.failf "accepted endpoint %S" text
+    | Error _ -> ()
+  in
+  List.iter
+    (fun (text, expected) -> addr_ok text expected)
+    [ ("0.0.0.0", "0.0.0.0"); ("255.255.255.255", "255.255.255.255");
+      ("10.0.0.1", "10.0.0.1"); ("010.000.0.1", "10.0.0.1") ];
+  List.iter addr_rejected
+    [ "0x0A.0.0.1"; "1_0.0.0.1"; "+1.2.3.4"; "-1.2.3.4"; "0o1.2.3.4";
+      "0b1.2.3.4"; "1.2.3.0x4"; "0010.0.0.1"; " 1.2.3.4"; "1.2.3.4 ";
+      "1.2.3."; "256.0.0.1" ];
+  List.iter
+    (fun (text, expected) -> endpoint_ok text expected)
+    [ ("1.2.3.4:0", "1.2.3.4:0"); ("1.2.3.4:65535", "1.2.3.4:65535");
+      ("1.2.3.4:00080", "1.2.3.4:80") ];
+  List.iter endpoint_rejected
+    [ "1.2.3.4:0x50"; "1.2.3.4:+80"; "1.2.3.4:8_0"; "1.2.3.4:-1";
+      "1.2.3.4:000080"; "1.2.3.4:65536"; "1.2.3.4:"; "0x0A.0.0.1:80";
+      "1_0.0.0.1:80"; "+1.2.3.4:80" ]
+
 let qcheck_op_round_trip =
   let arbitrary_program =
     let open QCheck in
@@ -209,9 +255,7 @@ let test_corpus_robin_hood_is_a_cluster () =
   in
   Alcotest.(check int) "five colliding flows" 5 (List.length inserts);
   let home f =
-    Demux.Flow_key.hash_words
-      (Demux.Flow_key.w0_of_flow f)
-      (Demux.Flow_key.w1_of_flow f)
+    Demux.Packed_table.default_hash (Packet.Flow.w0 f) (Packet.Flow.w1 f)
     land 7
   in
   match inserts with
@@ -265,8 +309,7 @@ let test_corpus_cuckoo_kick_crosses_stash () =
   let table = C.create () in
   Array.iter
     (fun (o : Check.Op.op) ->
-      let w0 = Demux.Flow_key.w0_of_flow o.Check.Op.flow
-      and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
+      let { Packet.Flow.w0; w1 } = o.Check.Op.flow in
       let h2 = Demux.Cuckoo_table.default_hash2 w0 w1 in
       Alcotest.(check int) "primary bucket pinned" 0
         (Demux.Cuckoo_table.default_hash1 w0 w1 land 15);
@@ -416,7 +459,7 @@ let test_guarded_eviction_during_resize () =
   let guard = Demux.Guarded.create config in
   let table = Demux.Packed_table.Heap.create () in
   let words f =
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   let evictions = ref 0 and overlapped = ref 0 in
   for i = 0 to 44 do
@@ -614,8 +657,7 @@ let test_batch_accounting_equals_scalar () =
 (* Epoch table: lockstep determinism and the grace-period audit        *)
 
 let apply_epoch table (o : Check.Op.op) index =
-  let w0 = Demux.Flow_key.w0_of_flow o.Check.Op.flow
-  and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
+  let { Packet.Flow.w0; w1 } = o.Check.Op.flow in
   match o.Check.Op.kind with
   | Check.Op.Insert ->
     Epoch.Packed.Heap.replace table ~w0 ~w1 index;
@@ -901,6 +943,7 @@ let () =
     [ ( "op",
         [ quick "print/parse round trip" test_op_round_trip_unit;
           quick "parse errors" test_op_parse_errors;
+          quick "addresses and ports are strict decimal" test_op_strict_decimal;
           QCheck_alcotest.to_alcotest qcheck_op_round_trip ] );
       ( "diff",
         [ quick "all algorithms agree with the oracle"

@@ -969,11 +969,11 @@ let prop_merge_snapshots_with_histograms =
          = Obs.Histogram.summary whole_histogram)
 
 (* ------------------------------------------------------------------ *)
-(* Flow_key: packed immediate keys                                     *)
+(* Flow keys: the packed words the tables store                        *)
 
 (* Random flows over the {e full} 32-bit address space — including
-   addresses whose Int32 representation is negative, the case the
-   unsigned packing must mask correctly. *)
+   addresses with the top bit set, which a signed 32-bit reading makes
+   negative and the packing must keep unsigned. *)
 let gen_flow_full_range =
   let open QCheck.Gen in
   let word16 = int_bound 0xFFFF in
@@ -981,7 +981,7 @@ let gen_flow_full_range =
     map3
       (fun hi lo port ->
         Packet.Flow.endpoint
-          (Packet.Ipv4.addr_of_int32 (Int32.of_int ((hi lsl 16) lor lo)))
+          (Packet.Ipv4.addr_of_int ((hi lsl 16) lor lo))
           port)
       word16 word16 word16
   in
@@ -998,44 +998,52 @@ let arbitrary_flow_pair =
       Packet.Flow.to_string a ^ " / " ^ Packet.Flow.to_string b)
     QCheck.Gen.(pair gen_flow_full_range gen_flow_full_range)
 
+(* The words rebuild the flow, the endpoints rebuild it too, every
+   hasher's flow hash is its hash of the key bytes, and the tables'
+   word hash is the multiplicative one. *)
+let words_round_trip f =
+  let w0 = Packet.Flow.w0 f and w1 = Packet.Flow.w1 f in
+  let key = Packet.Flow.to_key_bytes f in
+  Packet.Flow.equal f (Packet.Flow.of_words ~w0 ~w1)
+  && Packet.Flow.equal f
+       (Packet.Flow.v ~local:(Packet.Flow.local f)
+          ~remote:(Packet.Flow.remote f))
+  && List.for_all
+       (fun h -> Hashing.Hashers.hash_flow h f = Hashing.Hashers.hash h key)
+       Hashing.Hashers.all
+  && Demux.Packed_table.default_hash w0 w1
+     = Hashing.Hashers.hash Hashing.Hashers.multiplicative key
+
 let prop_flow_key_round_trip =
   QCheck.Test.make ~count:500 ~name:"flow_key round-trips and hashes like bytes"
-    arbitrary_flow (fun f ->
-      let k = Demux.Flow_key.of_flow f in
-      Packet.Flow.equal f (Demux.Flow_key.to_flow k)
-      && Demux.Flow_key.w0 k = Demux.Flow_key.w0_of_flow f
-      && Demux.Flow_key.w1 k = Demux.Flow_key.w1_of_flow f
-      && Demux.Flow_key.hash k
-         = Hashing.Hashers.hash Hashing.Hashers.multiplicative
-             (Packet.Flow.to_key_bytes f)
-      && Demux.Flow_key.hash_words (Demux.Flow_key.w0 k) (Demux.Flow_key.w1 k)
-         = Demux.Flow_key.hash k)
+    arbitrary_flow words_round_trip
 
 let prop_flow_key_equality_agrees =
   QCheck.Test.make ~count:500 ~name:"flow_key equal/compare agree with Flow.equal"
     arbitrary_flow_pair (fun (a, b) ->
-      let ka = Demux.Flow_key.of_flow a and kb = Demux.Flow_key.of_flow b in
-      Demux.Flow_key.equal ka kb = Packet.Flow.equal a b
-      && (Demux.Flow_key.compare ka kb = 0) = Packet.Flow.equal a b
-      && Demux.Flow_key.equal_words ka ~w0:(Demux.Flow_key.w0 kb)
-           ~w1:(Demux.Flow_key.w1 kb)
-         = Packet.Flow.equal a b)
+      let same_bytes =
+        Bytes.equal (Packet.Flow.to_key_bytes a) (Packet.Flow.to_key_bytes b)
+      in
+      Packet.Flow.equal a b = same_bytes
+      && (Packet.Flow.compare a b = 0) = same_bytes
+      && (a.Packet.Flow.w0 = b.Packet.Flow.w0 && a.w1 = b.w1) = same_bytes
+      && ((not same_bytes) || Packet.Flow.hash a = Packet.Flow.hash b))
 
-(* Companion to Flow_key's 63-bit startup guard: the extreme corners
-   of the 4-tuple space — 0.0.0.0 and 255.255.255.255, ports 0 and
-   65535 — must round-trip through the packed words, and the words
-   themselves must stay non-negative OCaml immediates.  The all-ones
-   address with port 65535 is the pattern that would spill into the
-   sign bit if the 48-bit layout were off by one. *)
+(* Companion to Flow's 63-bit startup guard: the extreme corners of the
+   4-tuple space — 0.0.0.0 and 255.255.255.255, ports 0 and 65535 —
+   must round-trip through the packed words, and the words themselves
+   must stay non-negative 48-bit immediates.  The all-ones address with
+   port 65535 is the pattern that would spill into the sign bit if the
+   48-bit layout were off by one. *)
 let gen_flow_boundary =
   let open QCheck.Gen in
   let addr =
-    oneofl [ 0l; 0xFFFFFFFFl; 0x7FFFFFFFl; 0x80000000l; 1l; 0xFFFFFFFEl ]
+    oneofl [ 0; 0xFFFFFFFF; 0x7FFFFFFF; 0x80000000; 1; 0xFFFFFFFE ]
   in
   let port = oneofl [ 0; 1; 32767; 32768; 65534; 65535 ] in
   let endpoint =
     map2
-      (fun a p -> Packet.Flow.endpoint (Packet.Ipv4.addr_of_int32 a) p)
+      (fun a p -> Packet.Flow.endpoint (Packet.Ipv4.addr_of_int a) p)
       addr port
   in
   map2 (fun local remote -> Packet.Flow.v ~local ~remote) endpoint endpoint
@@ -1045,13 +1053,9 @@ let prop_flow_key_boundary_round_trip =
     ~name:"flow_key round-trips at the 4-tuple boundary corners"
     (QCheck.make ~print:Packet.Flow.to_string gen_flow_boundary)
     (fun f ->
-      let k = Demux.Flow_key.of_flow f in
-      let w0 = Demux.Flow_key.w0 k and w1 = Demux.Flow_key.w1 k in
-      w0 >= 0 && w1 >= 0
-      && Packet.Flow.equal f (Demux.Flow_key.to_flow k)
-      && Packet.Flow.equal f
-           (Demux.Flow_key.to_flow (Demux.Flow_key.make ~w0 ~w1))
-      && Demux.Flow_key.hash_words w0 w1 = Demux.Flow_key.hash k)
+      let in_48_bits w = w >= 0 && w lsr 48 = 0 in
+      in_48_bits (Packet.Flow.w0 f) && in_48_bits (Packet.Flow.w1 f)
+      && words_round_trip f)
 
 (* ------------------------------------------------------------------ *)
 (* Handle_table: boxed values over the engine vs a Hashtbl model       *)
@@ -1087,33 +1091,26 @@ let handle_table_model_agreement ops =
   let table = Demux.Handle_table.create () in
   let model = Hashtbl.create 16 in
   let peak = ref 0 in
-  let words i =
-    let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
-  in
   List.for_all
     (fun op ->
       let healthy =
         match op with
         | F_insert i ->
-          let w0, w1 = words i in
           let resident = Hashtbl.mem model i in
           let before = Demux.Handle_table.handles table in
           let v = Printf.sprintf "v%d.%d" i (Hashtbl.length model) in
-          Demux.Handle_table.replace table ~w0 ~w1 v;
+          Demux.Handle_table.replace table (flow i) v;
           Hashtbl.replace model i v;
           peak := max !peak (Hashtbl.length model);
-          Demux.Handle_table.find_opt table ~w0 ~w1 = Some v
+          Demux.Handle_table.find_opt table (flow i) = Some v
           && ((not resident) || Demux.Handle_table.handles table = before)
         | F_remove i ->
-          let w0, w1 = words i in
-          Demux.Handle_table.remove table ~w0 ~w1;
+          Demux.Handle_table.remove table (flow i);
           Hashtbl.remove model i;
-          Demux.Handle_table.find_opt table ~w0 ~w1 = None
-          && not (Demux.Handle_table.mem table ~w0 ~w1)
+          Demux.Handle_table.find_opt table (flow i) = None
+          && not (Demux.Handle_table.mem table (flow i))
         | F_find i ->
-          let w0, w1 = words i in
-          Demux.Handle_table.find_opt table ~w0 ~w1 = Hashtbl.find_opt model i
+          Demux.Handle_table.find_opt table (flow i) = Hashtbl.find_opt model i
       in
       healthy
       && Demux.Handle_table.length table = Hashtbl.length model
@@ -1122,7 +1119,7 @@ let handle_table_model_agreement ops =
   &&
   let seen = ref 0 in
   Demux.Handle_table.iter
-    (fun ~w0:_ ~w1:_ v ->
+    (fun v ->
       incr seen;
       if not (Hashtbl.fold (fun _ v' ok -> ok || v' == v) model false) then
         seen := -1_000_000)
@@ -1148,7 +1145,7 @@ let cuckoo_model_agreement (module T : Demux.Cuckoo_table.S) ?hash1 ?hash2 ()
   let model = Hashtbl.create 16 in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   List.for_all
     (fun op ->
@@ -1239,7 +1236,7 @@ let test_cuckoo_kick_chain_into_stash () =
   let table = T.create2 ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   for i = 0 to 19 do
     let w0, w1 = words i in
@@ -1274,7 +1271,7 @@ let test_cuckoo_degenerate_overflow_raises () =
   let table = T.create2 ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   let raised = ref None in
   (try
@@ -1296,8 +1293,7 @@ let test_cuckoo_filter_short_circuits_misses () =
   let population = Sim.Topology.flows 64 in
   Array.iteri
     (fun i f ->
-      T.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+      T.replace table ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f) i)
     population;
   (* At 64 keys over >= 16 buckets no bucket can have overflowed
      (load is far below one bucket's 8 slots on average), so every
@@ -1308,8 +1304,7 @@ let test_cuckoo_filter_short_circuits_misses () =
   for i = 1024 to 2047 do
     let f = absent.(i) in
     let p =
-      T.probe_count table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f)
+      T.probe_count table ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f)
     in
     if p > !worst then worst := p
   done;
@@ -1326,9 +1321,8 @@ let test_flat_table_grows () =
     (Demux.Packed_table.Heap.capacity table);
   let n = 1_000 in
   for i = 0 to n - 1 do
-    let f = flow i in
-    Demux.Packed_table.Heap.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-      ~w1:(Demux.Flow_key.w1_of_flow f) i
+    let { Packet.Flow.w0; w1 } = flow i in
+    Demux.Packed_table.Heap.replace table ~w0 ~w1 i
   done;
   Alcotest.(check int) "all present" n (Demux.Packed_table.Heap.length table);
   Alcotest.(check bool) "stayed under 7/8 load" true
@@ -1339,8 +1333,7 @@ let test_flat_table_grows () =
     Alcotest.(check int)
       (Printf.sprintf "entry %d survived the growth" i)
       i
-      (Demux.Packed_table.Heap.find table ~w0:(Demux.Flow_key.w0_of_flow f)
-         ~w1:(Demux.Flow_key.w1_of_flow f))
+      (Demux.Packed_table.Heap.find table ~w0:f.Packet.Flow.w0 ~w1:f.w1)
   done;
   (* Robin Hood keeps probe sequences short even at 1000 entries. *)
   Alcotest.(check bool) "probe lengths bounded" true
@@ -1353,7 +1346,7 @@ let test_flat_table_grows () =
 
 let flat_words i =
   let f = flow i in
-  (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+  (Packet.Flow.w0 f, Packet.Flow.w1 f)
 
 let test_flat_table_no_resurrection () =
   (* Regression for the tombstone drain: once a migration starts the
@@ -1521,13 +1514,12 @@ let test_flat_table_find_zero_alloc () =
   let population = Sim.Topology.flows 256 in
   Array.iteri
     (fun i f ->
-      let w0 = Demux.Flow_key.w0_of_flow f
-      and w1 = Demux.Flow_key.w1_of_flow f in
+      let { Packet.Flow.w0; w1 } = f in
       Demux.Packed_table.Heap.replace table ~w0 ~w1 i;
-      Demux.Handle_table.replace boxed ~w0 ~w1 f)
+      Demux.Handle_table.replace boxed f f)
     population;
-  let w0 = Demux.Flow_key.w0_of_flow population.(17)
-  and w1 = Demux.Flow_key.w1_of_flow population.(17) in
+  let target = population.(17) in
+  let { Packet.Flow.w0; w1 } = target in
   let check label find =
     ignore (find ());
     let delta = measure_minor_words 10_000 (fun () -> ignore (find ())) in
@@ -1537,7 +1529,7 @@ let test_flat_table_find_zero_alloc () =
       true (delta <= 64.0)
   in
   check "flat" (fun () -> Demux.Packed_table.Heap.find table ~w0 ~w1);
-  check "boxed" (fun () -> Demux.Handle_table.find boxed ~w0 ~w1)
+  check "boxed" (fun () -> Demux.Handle_table.find boxed target)
 
 (* The warm-hit regression E35 gates: cuckoo lookups on either Storage
    backend allocate nothing once the table is built. *)
@@ -1545,12 +1537,9 @@ let cuckoo_find_zero_alloc (module T : Demux.Cuckoo_table.S) () =
   let table = T.create () in
   let population = Sim.Topology.flows 256 in
   Array.iteri
-    (fun i f ->
-      T.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+    (fun i { Packet.Flow.w0; w1 } -> T.replace table ~w0 ~w1 i)
     population;
-  let w0 = Demux.Flow_key.w0_of_flow population.(17)
-  and w1 = Demux.Flow_key.w1_of_flow population.(17) in
+  let { Packet.Flow.w0; w1 } = population.(17) in
   ignore (T.find table ~w0 ~w1);
   let delta =
     measure_minor_words 10_000 (fun () -> ignore (T.find table ~w0 ~w1))

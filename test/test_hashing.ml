@@ -92,10 +92,10 @@ let test_deterministic () =
     Hashing.Hashers.all
 
 let test_flow_fast_path_matches_bytes () =
-  (* The allocation-free flow hash must be bit-identical to hashing
-     the flow's 12-byte key, for every hasher — with or without a
-     direct [run_flow] path — and [bucket_flow] must agree with
-     [bucket] over the key bytes. *)
+  (* The flow hash must be bit-identical to hashing the flow's 12-byte
+     key, for every hasher — whether or not it has an allocation-free
+     word path — and [bucket_flow] must agree with [bucket] over the
+     key bytes. *)
   let flows = Sim.Topology.flows 500 in
   List.iter
     (fun hasher ->
@@ -118,16 +118,14 @@ let test_flow_fast_path_matches_bytes () =
 
 let test_words_fast_path_matches_bytes () =
   (* Same bit-identity bar for the packed-word entry points: hashing
-     the two [Flow_key] words must equal hashing the canonical
-     12-byte key, for every hasher — whether it has a direct
-     [run_words] path or falls back to serialising the words. *)
+     a flow's two key words must equal hashing the canonical 12-byte
+     key, for every hasher. *)
   let flows = Sim.Topology.flows 500 in
   List.iter
     (fun hasher ->
       Array.iter
         (fun flow ->
-          let w0 = Demux.Flow_key.w0_of_flow flow
-          and w1 = Demux.Flow_key.w1_of_flow flow in
+          let { Packet.Flow.w0; w1 } = flow in
           Alcotest.(check int)
             (Hashing.Hashers.name hasher ^ " words = bytes")
             (Hashing.Hashers.hash hasher (Packet.Flow.to_key_bytes flow))

@@ -303,6 +303,84 @@ let test_trace_pipeline () =
           | Error e -> Alcotest.fail e)
         records)
 
+(* Byte identity of the wire format: a fixed-seed conversation through
+   the real stack (handshakes, requests and their replies, and a SYN to
+   a closed port that draws a RST), with addresses on both sides of
+   128.0.0.0 and the extreme ports, captured as pcap and digested.  Any
+   change in how addresses, ports, sequence numbers, payloads or
+   checksums reach the wire moves the digest. *)
+let wire_trace_digest = "b11f093188ac0d5762b94a89cdbe0b15"
+
+let test_wire_format_pinned () =
+  let path = Filename.temp_file "tcpdemux_wire" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let server_addr = addr 192 168 1 1 in
+      let server =
+        Tcpcore.Stack.create ~iss:Tcpcore.Stack.deterministic_iss
+          ~local_addr:server_addr ()
+      in
+      Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun t conn payload ->
+          Tcpcore.Stack.send t conn ("OK " ^ payload));
+      let server_ep = Packet.Flow.endpoint server_addr 8888 in
+      let rng = Numerics.Rng.create ~seed:7 in
+      let oc = open_out_bin path in
+      let writer = Packet.Pcap.create_writer oc in
+      let clock = ref 0.0 in
+      let record segment =
+        clock := !clock +. 0.0001;
+        Packet.Pcap.write_packet writer ~time:!clock
+          (Packet.Segment.to_bytes segment)
+      in
+      let inject segment =
+        record segment;
+        Tcpcore.Stack.handle_segment server segment;
+        List.iter record (Tcpcore.Stack.poll_output server)
+      in
+      let ( +: ) a b = Int32.add a (Int32.of_int b) in
+      for i = 0 to 15 do
+        let first = if i land 1 = 0 then 10 else 128 + (8 * i) in
+        let port =
+          match i with
+          | 0 -> 0
+          | 1 -> 65535
+          | _ -> 1024 + Numerics.Rng.int rng ~bound:64000
+        in
+        let client =
+          Packet.Flow.endpoint
+            (addr first (Numerics.Rng.int rng ~bound:256) 0 (i + 1))
+            port
+        in
+        let c_iss = Int32.of_int (Numerics.Rng.int rng ~bound:0x3FFFFFFF) in
+        let s_iss =
+          Tcpcore.Stack.deterministic_iss
+            (Packet.Flow.v ~local:server_ep ~remote:client)
+        in
+        let seg ?payload ?(dst = server_ep) ~flags ~seq ~ack () =
+          Packet.Segment.make ?payload ~flags ~seq ~ack_number:ack ~src:client
+            ~dst ()
+        in
+        inject (seg ~flags:Packet.Tcp_header.flag_syn ~seq:c_iss ~ack:0l ());
+        inject
+          (seg ~flags:Packet.Tcp_header.flag_ack ~seq:(c_iss +: 1)
+             ~ack:(s_iss +: 1) ());
+        inject
+          (seg ~payload:(Printf.sprintf "TXN client=%d" i)
+             ~flags:Packet.Tcp_header.flag_psh_ack ~seq:(c_iss +: 1)
+             ~ack:(s_iss +: 1) ());
+        if i = 3 then
+          inject
+            (seg
+               ~dst:(Packet.Flow.endpoint server_addr 9999)
+               ~flags:Packet.Tcp_header.flag_syn ~seq:c_iss ~ack:0l ())
+      done;
+      let packets = Packet.Pcap.packet_count writer in
+      close_out oc;
+      Alcotest.(check int) "packets captured" 98 packets;
+      Alcotest.(check string) "pcap digest" wire_trace_digest
+        (Digest.to_hex (Digest.file path)))
+
 (* ------------------------------------------------------------------ *)
 (* Analysis <-> simulation property                                    *)
 
@@ -337,7 +415,8 @@ let () =
       ( "wire-level",
         [ Alcotest.test_case "OLTP through the stack, all algorithms" `Quick
             test_wire_oltp_all_algorithms;
-          Alcotest.test_case "trace pipeline" `Quick test_trace_pipeline ] );
+          Alcotest.test_case "trace pipeline" `Quick test_trace_pipeline;
+          Alcotest.test_case "wire format pinned" `Quick test_wire_format_pinned ] );
       ( "reporting",
         [ Alcotest.test_case "figures to CSV" `Quick test_csv_of_figures;
           Alcotest.test_case "CSV escaping" `Quick test_csv_escaping;

@@ -349,13 +349,13 @@ let test_flow_of_headers () =
   in
   let tcp = Packet.Tcp_header.make ~src_port:4000 ~dst_port:80 () in
   let flow = Packet.Flow.of_headers ip tcp in
+  let local = Packet.Flow.local flow and remote = Packet.Flow.remote flow in
   (* Receiver's view: local = destination of the packet. *)
-  Alcotest.(check int) "local port" 80 flow.Packet.Flow.local.Packet.Flow.port;
-  Alcotest.(check int) "remote port" 4000 flow.Packet.Flow.remote.Packet.Flow.port;
+  Alcotest.(check int) "local port" 80 local.Packet.Flow.port;
+  Alcotest.(check int) "remote port" 4000 remote.Packet.Flow.port;
   Alcotest.(check bool)
     "local addr" true
-    (Packet.Ipv4.equal_addr flow.Packet.Flow.local.Packet.Flow.addr
-       (addr 192 168 1 1))
+    (Packet.Ipv4.equal_addr local.Packet.Flow.addr (addr 192 168 1 1))
 
 let test_flow_reverse_involution () =
   let flow =
@@ -485,8 +485,28 @@ let test_segment_parse_shares_flags () =
     Float.to_int
       (Float.round ((Gc.minor_words () -. before) /. float_of_int rounds))
   in
-  (* 71 words while every parse built its own 7-word flag record. *)
-  Alcotest.(check int) "minor words per no-option parse" 64 per_parse
+  (* 71 words while every parse built its own 7-word flag record, 64
+     while the header held its two addresses as 3-word [int32] boxes. *)
+  Alcotest.(check int) "minor words per no-option parse" 58 per_parse
+
+(* The steering peek allocates the 3-word key and its 2-word [Ok]
+   cell, nothing else. *)
+let test_peek_flow_minor_words () =
+  let wire =
+    Packet.Segment.to_bytes
+      (Packet.Segment.make ~src:(endpoint 200 0 0 1 4000)
+         ~dst:(endpoint 192 168 1 1 8888) ())
+  in
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (Packet.Segment.peek_flow wire ~off:0))
+  done;
+  let per_peek =
+    Float.to_int
+      (Float.round ((Gc.minor_words () -. before) /. float_of_int rounds))
+  in
+  Alcotest.(check int) "minor words per peek_flow" 5 per_peek
 
 let test_segment_rejects_fragment () =
   let segment =
@@ -723,9 +743,7 @@ let arbitrary_endpoint =
   QCheck.Gen.(
     map2
       (fun ip port ->
-        Packet.Flow.endpoint
-          (Packet.Ipv4.addr_of_int32 (Int32.of_int ip))
-          port)
+        Packet.Flow.endpoint (Packet.Ipv4.addr_of_int ip) port)
       (int_bound 0xFFFFFF) (int_bound 0xFFFF))
 
 let arbitrary_segment =
@@ -769,6 +787,115 @@ let prop_flow_key_injective_on_reverse =
            (Packet.Flow.to_key_bytes (Packet.Flow.reverse flow))
          <> 0)
 
+(* Endpoints biased to the cases the packed key must get right:
+   addresses at or above 128.0.0.0 (negative as a signed 32-bit value)
+   and the extreme ports. *)
+let gen_biased_endpoint =
+  QCheck.Gen.(
+    map2
+      (fun ip port -> Packet.Flow.endpoint (Packet.Ipv4.addr_of_int ip) port)
+      (frequency
+         [ (3, int_range 0x8000_0000 0xFFFF_FFFF);
+           (2, int_bound 0x7FFF_FFFF);
+           (1, oneofl [ 0; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF ]) ])
+      (frequency [ (1, oneofl [ 0; 65535 ]); (2, int_bound 0xFFFF) ]))
+
+(* Two flows over four endpoints, so that equal local endpoints, equal
+   addresses and equal flows all come up. *)
+let arbitrary_flow_pair_biased =
+  let open QCheck.Gen in
+  let gen =
+    map2
+      (fun (e0, e1, e2, e3) pick ->
+        let a = Packet.Flow.v ~local:e0 ~remote:e1 in
+        let b =
+          match pick with
+          | 0 -> Packet.Flow.v ~local:e0 ~remote:e1
+          | 1 -> Packet.Flow.v ~local:e0 ~remote:e2
+          | 2 -> Packet.Flow.v ~local:e2 ~remote:e1
+          | 3 ->
+            Packet.Flow.v ~local:e0
+              ~remote:
+                (Packet.Flow.endpoint e1.Packet.Flow.addr e3.Packet.Flow.port)
+          | _ -> Packet.Flow.v ~local:e2 ~remote:e3
+        in
+        (a, b))
+      (quad gen_biased_endpoint gen_biased_endpoint gen_biased_endpoint
+         gen_biased_endpoint)
+      (int_bound 4)
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Packet.Flow.to_string a ^ " / " ^ Packet.Flow.to_string b)
+    gen
+
+(* The order of the former representation: nested endpoint records
+   with boxed signed [Int32] addresses, local before remote. *)
+type reference_endpoint = { ref_addr : int32; ref_port : int }
+
+let reference_compare a b =
+  let endpoint (e : Packet.Flow.endpoint) =
+    { ref_addr = Int32.of_int (e.Packet.Flow.addr :> int);
+      ref_port = e.Packet.Flow.port }
+  in
+  let compare_endpoint x y =
+    match Int32.compare x.ref_addr y.ref_addr with
+    | 0 -> Int.compare x.ref_port y.ref_port
+    | c -> c
+  in
+  let ends f =
+    (endpoint (Packet.Flow.local f), endpoint (Packet.Flow.remote f))
+  in
+  let al, ar = ends a and bl, br = ends b in
+  match compare_endpoint al bl with 0 -> compare_endpoint ar br | c -> c
+
+let prop_flow_compare_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"flow compare keeps the signed-address order"
+    arbitrary_flow_pair_biased (fun (a, b) ->
+      Int.compare (Packet.Flow.compare a b) 0
+      = Int.compare (reference_compare a b) 0
+      && (Packet.Flow.compare a b = 0) = Packet.Flow.equal a b)
+
+let prop_flow_endpoints_round_trip =
+  QCheck.Test.make ~count:500 ~name:"flow v then local/remote round-trips"
+    (QCheck.make QCheck.Gen.(pair gen_biased_endpoint gen_biased_endpoint))
+    (fun (local, remote) ->
+      let flow = Packet.Flow.v ~local ~remote in
+      Packet.Flow.local flow = local
+      && Packet.Flow.remote flow = remote
+      && Packet.Flow.equal flow
+           (Packet.Flow.make ~local_addr:local.Packet.Flow.addr
+              ~local_port:local.Packet.Flow.port
+              ~remote_addr:remote.Packet.Flow.addr
+              ~remote_port:remote.Packet.Flow.port))
+
+(* The steering peek and the full parse read the same key, whatever the
+   addresses, ports, options and payload. *)
+let prop_peek_flow_agrees_with_parse =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun (src, dst) payload mss ->
+          let options =
+            match mss with Some m -> [ Packet.Tcp_header.Mss m ] | None -> []
+          in
+          Packet.Segment.make ~options ~payload ~src ~dst ())
+        (pair gen_biased_endpoint gen_biased_endpoint)
+        (string_size (int_bound 40))
+        (opt (int_bound 0xFFFF)))
+  in
+  QCheck.Test.make ~count:500 ~name:"peek_flow agrees with parse"
+    (QCheck.make gen) (fun segment ->
+      let wire = Packet.Segment.to_bytes segment in
+      match
+        (Packet.Segment.peek_flow wire ~off:0, Packet.Segment.parse wire ~off:0)
+      with
+      | Ok peeked, Ok parsed ->
+        Packet.Flow.equal peeked (Packet.Segment.flow parsed)
+        && Packet.Flow.equal peeked (Packet.Segment.flow segment)
+      | _ -> false)
+
 (* Fuzzing: parsers must totalise — any byte string yields Ok or Error,
    never an exception. *)
 
@@ -811,6 +938,8 @@ let prop_segment_parse_total_on_mutated_valid =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_segment_roundtrip; prop_flow_key_injective_on_reverse;
+      prop_flow_compare_matches_reference; prop_flow_endpoints_round_trip;
+      prop_peek_flow_agrees_with_parse;
       prop_ipv4_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
       prop_segment_parse_total_on_mutated_valid ]
 
@@ -857,6 +986,7 @@ let () =
           Alcotest.test_case "detects corruption" `Quick
             test_segment_detects_any_corruption;
           Alcotest.test_case "shares flag records" `Quick test_segment_parse_shares_flags;
+          Alcotest.test_case "peek_flow minor words" `Quick test_peek_flow_minor_words;
           Alcotest.test_case "rejects fragments" `Quick test_segment_rejects_fragment;
           Alcotest.test_case "skip checksum option" `Quick test_segment_skip_checksum ] );
       ( "pcap",

@@ -194,7 +194,7 @@ let test_topology_distinct_flows () =
 let test_topology_server_side () =
   let flow = Sim.Topology.flow_of_client 0 in
   Alcotest.(check int) "local port is server's" 8888
-    flow.Packet.Flow.local.Packet.Flow.port;
+    (Packet.Flow.local flow).Packet.Flow.port;
   Alcotest.check_raises "range" (Invalid_argument "Topology.client: index out of range")
     (fun () -> ignore (Sim.Topology.client (-1)))
 
