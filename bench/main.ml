@@ -431,10 +431,11 @@ let run_e29 ~smoke ~(emit : emit) =
   assert_e29 rows;
   row
     "Same multiplicative hash, same packed 96-bit key; the chained\n\
-     walk pointer-chases boxed list nodes while the flat table probes\n\
-     tag-filtered inline words.  Both paths allocate nothing per\n\
-     lookup (the words columns are measurement-harness noise), so the\n\
-     gap is pure memory locality — and it widens with N, which is the\n\
+     walk compares each PCB's inline key words and follows its int\n\
+     link, while the flat table probes tag-filtered inline words.  Both\n\
+     paths allocate nothing per lookup (the words columns are\n\
+     measurement-harness noise); the chained walk grows with N/H PCBs\n\
+     per chain while the flat probe stays put, which is the\n\
      Cuckoo++/DPDK argument for flat connection tracking.\n"
 
 (* E31: per-insert latency tail across a churn ramp, incremental vs

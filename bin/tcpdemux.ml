@@ -674,24 +674,19 @@ let attack_cmd =
 (* parallel: multicore lookup throughput                               *)
 
 let parse_target name =
-  let sequent_chains s =
-    if s = "sequent" then Some 19
-    else if String.length s > 8 && String.sub s 0 8 = "sequent-" then
-      int_of_string_opt (String.sub s 8 (String.length s - 8))
-    else None
-  in
   match String.split_on_char ':' name with
-  | [ "coarse"; "bsd" ] -> Ok Parallel.Throughput.Coarse_bsd
   | [ "coarse"; rest ] -> (
-    match sequent_chains rest with
-    | Some chains when chains > 0 ->
+    match Demux.Registry.spec_of_string rest with
+    | Ok Demux.Registry.Bsd -> Ok Parallel.Throughput.Coarse_bsd
+    | Ok (Demux.Registry.Sequent { chains; _ }) ->
       Ok (Parallel.Throughput.Coarse_sequent chains)
-    | _ -> Error (Printf.sprintf "unknown coarse target %S" name))
+    | Ok _ | Error _ -> Error (Printf.sprintf "unknown coarse target %S" name))
   | [ "striped"; rest ] -> (
-    match sequent_chains rest with
-    | Some chains when chains > 0 ->
+    match Demux.Registry.spec_of_string rest with
+    | Ok (Demux.Registry.Sequent { chains; _ }) ->
       Ok (Parallel.Throughput.Striped_sequent chains)
-    | _ -> Error (Printf.sprintf "unknown striped target %S" name))
+    | Ok _ | Error _ ->
+      Error (Printf.sprintf "unknown striped target %S" name))
   | [ "epoch" ] | [ "epoch"; "table" ] -> Ok Parallel.Throughput.Epoch_table
   | [ "offheap" ] | [ "epoch"; "offheap" ] ->
     Ok Parallel.Throughput.Offheap_epoch

@@ -102,7 +102,7 @@ let of_index (type a) ~name (module M : INDEX with type t = a) (table : a) =
     lookup =
       (fun ~kind:_ flow ->
         Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ();
+        Demux.Lookup_stats.examine stats ~count:1;
         let result =
           M.find_opt table ~w0:flow.Packet.Flow.w0 ~w1:flow.Packet.Flow.w1
         in
@@ -210,7 +210,7 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
     lookup =
       (fun ~kind:_ flow ->
         Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ();
+        Demux.Lookup_stats.examine stats ~count:1;
         let result = Demux.Handle_table.find_opt table flow in
         if result <> None then Demux.Guarded.note_touched guard flow;
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false

@@ -1,73 +1,32 @@
-type 'a t = {
-  chain : 'a Chain.t;
-  index : 'a Chain.node Flow_table.t;
-  stats : Lookup_stats.t;
-  mutable cache : 'a Chain.node option;
-  mutable next_id : int;
-}
+type 'a t = { pool : 'a Pcb_pool.t; mutable cache : int }
 
 let name = "bsd"
-
-let create () =
-  { chain = Chain.create (); index = Flow_table.create 64;
-    stats = Lookup_stats.create (); cache = None; next_id = 0 }
-
-let insert t flow data =
-  if Flow_table.mem t.index flow then invalid_arg "Bsd.insert: duplicate flow";
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let node = Chain.push_front t.chain pcb in
-  Flow_table.replace t.index flow node;
-  Lookup_stats.note_insert t.stats;
-  pcb
+let create () = { pool = Pcb_pool.create (); cache = -1 }
+let insert t flow data = Pcb_pool.insert t.pool ~chain:0 flow data
 
 let remove t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> None
-  | Some node ->
-    (match t.cache with
-    | Some cached when cached == node -> t.cache <- None
-    | Some _ | None -> ());
-    Chain.remove t.chain node;
-    Flow_table.remove t.index flow;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
-
-let cache_probe t flow =
-  match t.cache with
-  | None -> None
-  | Some node ->
-    Lookup_stats.examine t.stats ();
-    if Pcb.matches (Chain.pcb node) flow then Some node else None
+  let s = Pcb_pool.remove t.pool flow in
+  if s < 0 then None
+  else begin
+    if t.cache = s then t.cache <- -1;
+    Some (Pcb_pool.pcb t.pool s)
+  end
 
 let lookup t ?kind:_ flow =
-  Lookup_stats.begin_lookup t.stats;
-  match cache_probe t flow with
-  | Some node ->
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
-    Some pcb
-  | None -> (
-    match Chain.scan t.chain ~stats:t.stats flow with
-    | Some node ->
-      t.cache <- Some node;
-      let pcb = Chain.pcb node in
-      Pcb.note_rx pcb;
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      Some pcb
-    | None ->
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-      None)
+  Lookup_stats.begin_lookup (Pcb_pool.stats t.pool);
+  let cached = t.cache in
+  if Pcb_pool.probe t.pool cached flow then
+    Some (Pcb_pool.found t.pool ~hit_cache:true cached)
+  else begin
+    let s = Pcb_pool.scan t.pool ~chain:0 flow in
+    if s >= 0 then t.cache <- s;
+    Pcb_pool.finish t.pool ~hit_cache:false s
+  end
 
-let note_send t flow =
-  match Flow_table.find_opt t.index flow with
-  | Some node -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
-
-let stats t = t.stats
-let length t = Chain.length t.chain
-let iter f t = Chain.iter f t.chain
+let note_send t flow = Pcb_pool.note_send t.pool flow
+let stats t = Pcb_pool.stats t.pool
+let length t = Pcb_pool.length t.pool
+let iter f t = Pcb_pool.iter f t.pool
 
 let cached_flow t =
-  Option.map (fun node -> (Chain.pcb node).Pcb.flow) t.cache
+  if t.cache < 0 then None else Some (Pcb_pool.pcb t.pool t.cache).Pcb.flow

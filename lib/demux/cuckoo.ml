@@ -56,7 +56,7 @@ let lookup t ?kind:_ { Packet.Flow.w0; w1 } =
   Lookup_stats.begin_lookup t.stats;
   match Table.find t.table ~w0 ~w1 with
   | id ->
-    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table) ();
+    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table);
     (match t.slots.(id) with
     | Some pcb ->
       Pcb.note_rx pcb;
@@ -67,7 +67,7 @@ let lookup t ?kind:_ { Packet.Flow.w0; w1 } =
          index is a bug, not a miss. *)
       assert false)
   | exception Not_found ->
-    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table) ();
+    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table);
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     None
 

@@ -1,9 +1,6 @@
-(** Hashtable keyed by flows — internal bookkeeping substrate.
-
-    The list-based algorithms need O(1) access to their own nodes on
-    the {e unmetered} maintenance paths (duplicate detection on
-    insert, removal on connection close, transmit-side bookkeeping
-    where the real stack already holds the PCB in hand).  This index
-    is never consulted on the metered receive path. *)
+(** Hashtable keyed by flows, for bookkeeping off the receive path
+    (the SMP harness's migration ledgers and the checker's per-flow
+    state).  No lookup algorithm uses it: their indexes are
+    {!Packed_table}s. *)
 
 include Hashtbl.S with type key = Packet.Flow.t

@@ -25,93 +25,73 @@ type meta = { mutable tick : int }
 
 type t = {
   cfg : config;
-  buckets : meta Chain.t array;          (* front = most recent *)
-  index : meta Chain.node Flow_table.t;
+  shadow : meta Pcb_pool.t;  (* chain fronts = most recent *)
   mutable clock : int;
 }
 
 let create cfg =
-  { cfg;
-    buckets = Array.init cfg.chains (fun _ -> Chain.create ());
-    index = Flow_table.create 64;
-    clock = 0 }
+  { cfg; shadow = Pcb_pool.create ~chains:cfg.chains (); clock = 0 }
 
 let bucket_index t flow =
   Hashing.Hashers.bucket_flow t.cfg.hasher ~buckets:t.cfg.chains flow
-
-let tracked t = Flow_table.length t.index
-
-let occupancy t = Array.map Chain.length t.buckets
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let unlink t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> ()
-  | Some node ->
-    Chain.remove t.buckets.(bucket_index t flow) node;
-    Flow_table.remove t.index flow
-
-(* The least recently touched flow across all shadow chains.  Each
-   chain keeps recency order, so only the tails compete: O(chains). *)
+(* The least recently touched slot across all shadow chains.  Each
+   chain keeps recency order, so only the tails compete: O(chains);
+   the first of equally old tails wins. *)
 let global_lru t =
-  Array.fold_left
-    (fun best chain ->
-      match Chain.tail_pcb chain with
-      | None -> best
-      | Some pcb -> (
-        let age = pcb.Pcb.data.tick in
-        match best with
-        | Some (_, best_age) when best_age <= age -> best
-        | Some _ | None -> Some (pcb.Pcb.flow, age)))
-    None t.buckets
-
-let chain_lru t bucket =
-  match Chain.tail_pcb t.buckets.(bucket) with
-  | None -> None
-  | Some pcb -> Some pcb.Pcb.flow
+  let best = ref (-1) and best_age = ref max_int in
+  for chain = 0 to t.cfg.chains - 1 do
+    let s = Pcb_pool.tail t.shadow ~chain in
+    if s >= 0 then begin
+      let age = (Pcb_pool.pcb t.shadow s).Pcb.data.tick in
+      if age < !best_age then begin
+        best := s;
+        best_age := age
+      end
+    end
+  done;
+  !best
 
 (* Decide the fate of an insertion: [`Admit victims] means the caller
    must first evict [victims] from the underlying table (the guard has
    already forgotten them), [`Reject] means the insertion itself must
    be shed.  Mutates the guard state. *)
 let admit t flow =
-  if Flow_table.mem t.index flow then `Admit [] (* duplicate: inner decides *)
+  if Pcb_pool.mem t.shadow flow then `Admit [] (* duplicate: inner decides *)
   else
-    let bucket = bucket_index t flow in
-    let chain_full = Chain.length t.buckets.(bucket) >= t.cfg.max_chain in
-    let total_full = tracked t >= t.cfg.max_total in
+    let chain = bucket_index t flow in
+    let chain_full = Pcb_pool.chain_length t.shadow ~chain >= t.cfg.max_chain in
+    let total_full = Pcb_pool.length t.shadow >= t.cfg.max_total in
     match t.cfg.policy with
     | Reject_new when chain_full || total_full -> `Reject
     | Reject_new | Evict_lru ->
       let victims = ref [] in
-      let evict flow =
-        unlink t flow;
-        victims := flow :: !victims
+      let evict s =
+        victims := (Pcb_pool.pcb t.shadow s).Pcb.flow :: !victims;
+        Pcb_pool.free t.shadow s
       in
-      if chain_full then
-        Option.iter evict (chain_lru t bucket);
-      while tracked t >= t.cfg.max_total do
-        match global_lru t with
-        | Some (flow, _) -> evict flow
-        | None -> assert false (* max_total > 0 and the table is non-empty *)
+      if chain_full then evict (Pcb_pool.tail t.shadow ~chain);
+      while Pcb_pool.length t.shadow >= t.cfg.max_total do
+        (* max_total > 0 and the table is non-empty *)
+        evict (global_lru t)
       done;
       `Admit (List.rev !victims)
 
 let note_inserted t flow =
-  if not (Flow_table.mem t.index flow) then begin
-    let pcb = Pcb.make ~id:0 ~flow { tick = tick t } in
-    let node = Chain.push_front t.buckets.(bucket_index t flow) pcb in
-    Flow_table.replace t.index flow node
-  end
+  if not (Pcb_pool.mem t.shadow flow) then
+    ignore
+      (Pcb_pool.insert t.shadow ~chain:(bucket_index t flow) flow
+         { tick = tick t })
 
 let note_touched t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> ()
-  | Some node ->
-    (Chain.pcb node).Pcb.data.tick <- tick t;
-    Chain.move_to_front t.buckets.(bucket_index t flow) node
+  let s = Pcb_pool.slot t.shadow flow in
+  if s >= 0 then begin
+    (Pcb_pool.pcb t.shadow s).Pcb.data.tick <- tick t;
+    Pcb_pool.move_to_front t.shadow s
+  end
 
-let note_removed t flow = unlink t flow
+let note_removed t flow = ignore (Pcb_pool.remove t.shadow flow)

@@ -56,9 +56,3 @@ val note_touched : t -> Packet.Flow.t -> unit
 
 val note_removed : t -> Packet.Flow.t -> unit
 (** The flow left the underlying table (protocol removal). *)
-
-val tracked : t -> int
-(** Flows currently shadowed. *)
-
-val occupancy : t -> int array
-(** Per-chain shadow population, for tests and reports. *)

@@ -12,7 +12,6 @@ val create : ?chains:int -> ?hasher:Hashing.Hashers.t -> unit -> 'a t
 (** Defaults match {!Sequent.create}.
     @raise Invalid_argument if [chains <= 0]. *)
 
-val chains : 'a t -> int
 val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
 (** @raise Invalid_argument if the flow is already present. *)
 

@@ -1,52 +1,18 @@
-type 'a t = {
-  chain : 'a Chain.t;
-  index : 'a Chain.node Flow_table.t;
-  stats : Lookup_stats.t;
-  mutable next_id : int;
-}
+type 'a t = 'a Pcb_pool.t
 
 let name = "linear"
-
-let create () =
-  { chain = Chain.create (); index = Flow_table.create 64;
-    stats = Lookup_stats.create (); next_id = 0 }
-
-let insert t flow data =
-  if Flow_table.mem t.index flow then
-    invalid_arg "Linear.insert: duplicate flow";
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let node = Chain.push_front t.chain pcb in
-  Flow_table.replace t.index flow node;
-  Lookup_stats.note_insert t.stats;
-  pcb
+let create () = Pcb_pool.create ()
+let insert t flow data = Pcb_pool.insert t ~chain:0 flow data
 
 let remove t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> None
-  | Some node ->
-    Chain.remove t.chain node;
-    Flow_table.remove t.index flow;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
+  let s = Pcb_pool.remove t flow in
+  if s < 0 then None else Some (Pcb_pool.pcb t s)
 
 let lookup t ?kind:_ flow =
-  Lookup_stats.begin_lookup t.stats;
-  match Chain.scan t.chain ~stats:t.stats flow with
-  | Some node ->
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-    Some pcb
-  | None ->
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
+  Lookup_stats.begin_lookup (Pcb_pool.stats t);
+  Pcb_pool.finish t ~hit_cache:false (Pcb_pool.scan t ~chain:0 flow)
 
-let note_send t flow =
-  match Flow_table.find_opt t.index flow with
-  | Some node -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
-
-let stats t = t.stats
-let length t = Chain.length t.chain
-let iter f t = Chain.iter f t.chain
+let note_send = Pcb_pool.note_send
+let stats = Pcb_pool.stats
+let length = Pcb_pool.length
+let iter = Pcb_pool.iter

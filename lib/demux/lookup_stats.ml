@@ -34,16 +34,12 @@ let create () =
     tracer = Obs.Trace.disabled }
 
 let set_histogram t histogram = t.histogram <- histogram
-let histogram t = t.histogram
 
 let set_series_histograms t ~hit ~miss =
   t.hit_histogram <- hit;
   t.miss_histogram <- miss
 
-let hit_histogram t = t.hit_histogram
-let miss_histogram t = t.miss_histogram
 let set_tracer t tracer = t.tracer <- tracer
-let tracer t = t.tracer
 
 let begin_lookup t =
   assert (not t.in_lookup);
@@ -51,7 +47,7 @@ let begin_lookup t =
   t.current <- 0;
   Obs.Trace.record t.tracer Obs.Trace.Lookup_begin 0 0
 
-let examine t ?(count = 1) () =
+let examine t ~count =
   assert t.in_lookup;
   t.current <- t.current + count
 

@@ -13,8 +13,9 @@ val create : unit -> t
 (** {1 Charging (called by algorithm implementations)} *)
 
 val begin_lookup : t -> unit
-val examine : t -> ?count:int -> unit -> unit
-(** Charge [count] (default 1) PCB examinations to the current lookup. *)
+val examine : t -> count:int -> unit
+(** Charge [count] PCB examinations to the current lookup.  The count
+    is a plain argument, so a charge allocates nothing. *)
 
 val end_lookup : t -> hit_cache:bool -> found:bool -> unit
 (** Close the current lookup; [hit_cache] records that a one-entry
@@ -46,8 +47,6 @@ val set_histogram : t -> Obs.Histogram.t option -> unit
 (** Attach a histogram that receives each lookup's examined count at
     [end_lookup] time.  {!reset} clears it along with the counters. *)
 
-val histogram : t -> Obs.Histogram.t option
-
 val set_series_histograms :
   t -> hit:Obs.Histogram.t option -> miss:Obs.Histogram.t option -> unit
 (** Attach per-outcome histograms: the lookup's examined count is
@@ -58,16 +57,11 @@ val set_series_histograms :
     (EXPERIMENTS.md E35) — this makes them directly attributable
     instead of inferred from mixed percentiles. *)
 
-val hit_histogram : t -> Obs.Histogram.t option
-val miss_histogram : t -> Obs.Histogram.t option
-
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracer; lookups emit [Lookup_begin] / [Lookup_end]
     (payload: examined count; flag bits: found, cache hit) plus
     [Cache_hit] / [Chain_walk] / [Insert] / [Remove] / [Eviction] /
     [Rejection] events.  Pass {!Obs.Trace.disabled} to detach. *)
-
-val tracer : t -> Obs.Trace.t
 
 (** {1 Reading} *)
 

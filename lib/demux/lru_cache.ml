@@ -1,91 +1,68 @@
-(* The cache is itself a small Chain in LRU order (front = most
-   recent); probing it scans front-to-back, charging per comparison —
-   exactly what a K-entry cache costs in comparisons. *)
+(* The cache is an array of at most K pool slots in recency order
+   (index 0 = most recent).  Probing scans it from the front, one PCB
+   examined per comparison — exactly what a K-entry cache costs in
+   comparisons. *)
 
 type 'a t = {
-  list : 'a Chain.t;                       (* the full PCB list *)
-  cache : 'a Chain.t;                      (* duplicate PCB refs in LRU order *)
-  cache_nodes : 'a Chain.node Flow_table.t;(* flow -> cache node *)
-  index : 'a Chain.node Flow_table.t;      (* flow -> list node *)
-  capacity : int;
-  stats : Lookup_stats.t;
-  mutable next_id : int;
+  pool : 'a Pcb_pool.t;
+  mru : int array;
+  mutable cached : int;  (* mru.(0 .. cached - 1) are in use *)
 }
 
 let name = "lru-cache"
 
 let create ?(entries = 8) () =
   if entries <= 0 then invalid_arg "Lru_cache.create: entries <= 0";
-  { list = Chain.create (); cache = Chain.create ();
-    cache_nodes = Flow_table.create 16; index = Flow_table.create 64;
-    capacity = entries; stats = Lookup_stats.create (); next_id = 0 }
+  { pool = Pcb_pool.create (); mru = Array.make entries (-1); cached = 0 }
 
-let entries t = t.capacity
+let insert t flow data = Pcb_pool.insert t.pool ~chain:0 flow data
 
-let insert t flow data =
-  if Flow_table.mem t.index flow then
-    invalid_arg "Lru_cache.insert: duplicate flow";
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let node = Chain.push_front t.list pcb in
-  Flow_table.replace t.index flow node;
-  Lookup_stats.note_insert t.stats;
-  pcb
+(* Put [s] at the front, shifting the [n] entries before it back one. *)
+let to_front t s n =
+  Array.blit t.mru 0 t.mru 1 n;
+  t.mru.(0) <- s
 
-let cache_evict t flow =
-  match Flow_table.find_opt t.cache_nodes flow with
-  | Some node ->
-    Chain.remove t.cache node;
-    Flow_table.remove t.cache_nodes flow
-  | None -> ()
-
-let cache_admit t pcb =
-  cache_evict t pcb.Pcb.flow;
-  (* Evict from the LRU tail until there is room. *)
-  while Chain.length t.cache >= t.capacity do
-    match Chain.tail_pcb t.cache with
-    | Some tail -> cache_evict t tail.Pcb.flow
-    | None -> assert false
-  done;
-  let node = Chain.push_front t.cache pcb in
-  Flow_table.replace t.cache_nodes pcb.Pcb.flow node
+let rec position t s i =
+  if i = t.cached then -1 else if t.mru.(i) = s then i else position t s (i + 1)
 
 let remove t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> None
-  | Some node ->
-    cache_evict t flow;
-    Chain.remove t.list node;
-    Flow_table.remove t.index flow;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
+  let s = Pcb_pool.remove t.pool flow in
+  if s < 0 then None
+  else begin
+    let i = position t s 0 in
+    if i >= 0 then begin
+      Array.blit t.mru (i + 1) t.mru i (t.cached - i - 1);
+      t.cached <- t.cached - 1
+    end;
+    Some (Pcb_pool.pcb t.pool s)
+  end
+
+let rec probe t flow i =
+  if i = t.cached then -1
+  else if Pcb_pool.matches t.pool t.mru.(i) flow then i
+  else probe t flow (i + 1)
 
 let lookup t ?kind:_ flow =
-  Lookup_stats.begin_lookup t.stats;
-  match Chain.scan t.cache ~stats:t.stats flow with
-  | Some cache_node ->
-    Chain.move_to_front t.cache cache_node;
-    let pcb = Chain.pcb cache_node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
-    Some pcb
-  | None -> (
-    match Chain.scan t.list ~stats:t.stats flow with
-    | Some node ->
-      let pcb = Chain.pcb node in
-      cache_admit t pcb;
-      Pcb.note_rx pcb;
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      Some pcb
-    | None ->
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-      None)
+  let stats = Pcb_pool.stats t.pool in
+  Lookup_stats.begin_lookup stats;
+  let i = probe t flow 0 in
+  if i >= 0 then begin
+    Lookup_stats.examine stats ~count:(i + 1);
+    to_front t t.mru.(i) i;
+    Some (Pcb_pool.found t.pool ~hit_cache:true t.mru.(0))
+  end
+  else begin
+    Lookup_stats.examine stats ~count:t.cached;
+    let s = Pcb_pool.scan t.pool ~chain:0 flow in
+    if s >= 0 then begin
+      (* A full cache drops its least recent entry. *)
+      if t.cached < Array.length t.mru then t.cached <- t.cached + 1;
+      to_front t s (t.cached - 1)
+    end;
+    Pcb_pool.finish t.pool ~hit_cache:false s
+  end
 
-let note_send t flow =
-  match Flow_table.find_opt t.index flow with
-  | Some node -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
-
-let stats t = t.stats
-let length t = Chain.length t.list
-let iter f t = Chain.iter f t.list
+let note_send t flow = Pcb_pool.note_send t.pool flow
+let stats t = Pcb_pool.stats t.pool
+let length t = Pcb_pool.length t.pool
+let iter f t = Pcb_pool.iter f t.pool

@@ -20,8 +20,6 @@ val create : ?entries:int -> unit -> 'a t
     BSD's behaviour with an LRU-maintained slot).
     @raise Invalid_argument if [entries <= 0]. *)
 
-val entries : 'a t -> int
-
 val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
 (** @raise Invalid_argument if the flow is already present. *)
 

@@ -16,8 +16,9 @@
     This is the only Robin-Hood implementation in the tree.  Values
     are bare [int]s, so every lane holds immediates and the whole
     table can live in [Bigarray] buffers the GC never scans
-    ({!Offheap}; E34, DESIGN.md section 14).  Boxed values go through
-    {!Handle_table}, which stores a handle in the value lane; the
+    ({!Offheap}; E34, DESIGN.md section 14).  {!Pcb_pool} stores PCB
+    slot numbers in the value lane and {!Handle_table} boxed-value
+    handles; the
     copy-on-write {!Epoch.Packed} builds its private regions with
     {!S.Region}.  [find] on a present key performs zero minor-heap
     allocations (DESIGN.md section 10). *)
@@ -161,7 +162,7 @@ module Make (St : Storage.S) : S with type store = St.t
 
 module Heap : S with type store = Storage.Heap.t
 (** [Bytes] + [int array] slots on the OCaml heap: the index behind
-    Sequent, the connection-ID table and {!Handle_table}. *)
+    {!Pcb_pool}, the connection-ID table and {!Handle_table}. *)
 
 module Offheap : S with type store = Storage.Offheap.t
 (** [Bigarray]-backed slots: GC-invisible, constant marking cost

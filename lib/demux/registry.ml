@@ -34,12 +34,18 @@ let rec spec_name = function
 
 let rec spec_of_string s =
   (* [Some (Ok spec)] on "<prefix><positive int>", [Some (Error _)] on
-     a non-positive count (a misconfiguration worth naming, not an
-     unknown algorithm), [None] when the prefix does not apply. *)
+     a zero count (a misconfiguration worth naming, not an unknown
+     algorithm), [None] when the prefix does not apply or the count is
+     not plain decimal digits: a sign, an underscore or a radix prefix
+     would otherwise be read as a different count than the one
+     written. *)
   let counted ~prefix ~what make =
     let plen = String.length prefix in
     if String.length s > plen && String.sub s 0 plen = prefix then
-      match int_of_string_opt (String.sub s plen (String.length s - plen)) with
+      match
+        Packet.Ipv4.decimal ~max_digits:9
+          (String.sub s plen (String.length s - plen))
+      with
       | Some n when n > 0 -> Some (Ok (make n))
       | Some n ->
         Some
@@ -158,83 +164,53 @@ let guard config inner =
     length = inner.length;
     iter = inner.iter }
 
+(* Every algorithm module has the same operations; one functor erases
+   any of them into the record. *)
+module type ALGORITHM = sig
+  type 'a t
+
+  val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
+  val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
+  val lookup :
+    'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
+  val note_send : 'a t -> Packet.Flow.t -> unit
+  val stats : 'a t -> Lookup_stats.t
+  val length : 'a t -> int
+  val iter : ('a Pcb.t -> unit) -> 'a t -> unit
+end
+
+module Erase (A : ALGORITHM) = struct
+  let v name d =
+    { name; insert = A.insert d; remove = A.remove d;
+      lookup = (fun ?kind flow -> A.lookup d ?kind flow);
+      note_send = A.note_send d; stats = A.stats d;
+      length = (fun () -> A.length d); iter = (fun f -> A.iter f d) }
+end
+
 let rec create spec =
   let name = spec_name spec in
   match spec with
-  | Linear ->
-    let d = Linear.create () in
-    { name; insert = Linear.insert d; remove = Linear.remove d;
-      lookup = (fun ?kind flow -> Linear.lookup d ?kind flow);
-      note_send = Linear.note_send d; stats = Linear.stats d;
-      length = (fun () -> Linear.length d);
-      iter = (fun f -> Linear.iter f d) }
-  | Bsd ->
-    let d = Bsd.create () in
-    { name; insert = Bsd.insert d; remove = Bsd.remove d;
-      lookup = (fun ?kind flow -> Bsd.lookup d ?kind flow);
-      note_send = Bsd.note_send d; stats = Bsd.stats d;
-      length = (fun () -> Bsd.length d); iter = (fun f -> Bsd.iter f d) }
-  | Mtf ->
-    let d = Mtf.create () in
-    { name; insert = Mtf.insert d; remove = Mtf.remove d;
-      lookup = (fun ?kind flow -> Mtf.lookup d ?kind flow);
-      note_send = Mtf.note_send d; stats = Mtf.stats d;
-      length = (fun () -> Mtf.length d); iter = (fun f -> Mtf.iter f d) }
-  | Sr_cache ->
-    let d = Sr_cache.create () in
-    { name; insert = Sr_cache.insert d; remove = Sr_cache.remove d;
-      lookup = (fun ?kind flow -> Sr_cache.lookup d ?kind flow);
-      note_send = Sr_cache.note_send d; stats = Sr_cache.stats d;
-      length = (fun () -> Sr_cache.length d);
-      iter = (fun f -> Sr_cache.iter f d) }
+  | Linear -> let module E = Erase (Linear) in E.v name (Linear.create ())
+  | Bsd -> let module E = Erase (Bsd) in E.v name (Bsd.create ())
+  | Mtf -> let module E = Erase (Mtf) in E.v name (Mtf.create ())
+  | Sr_cache -> let module E = Erase (Sr_cache) in E.v name (Sr_cache.create ())
   | Sequent { chains; hasher } ->
-    let d = Sequent.create ~chains ~hasher () in
-    { name; insert = Sequent.insert d; remove = Sequent.remove d;
-      lookup = (fun ?kind flow -> Sequent.lookup d ?kind flow);
-      note_send = Sequent.note_send d; stats = Sequent.stats d;
-      length = (fun () -> Sequent.length d);
-      iter = (fun f -> Sequent.iter f d) }
+    let module E = Erase (Sequent) in
+    E.v name (Sequent.create ~chains ~hasher ())
   | Hashed_mtf { chains; hasher } ->
-    let d = Hashed_mtf.create ~chains ~hasher () in
-    { name; insert = Hashed_mtf.insert d; remove = Hashed_mtf.remove d;
-      lookup = (fun ?kind flow -> Hashed_mtf.lookup d ?kind flow);
-      note_send = Hashed_mtf.note_send d; stats = Hashed_mtf.stats d;
-      length = (fun () -> Hashed_mtf.length d);
-      iter = (fun f -> Hashed_mtf.iter f d) }
+    let module E = Erase (Hashed_mtf) in
+    E.v name (Hashed_mtf.create ~chains ~hasher ())
   | Conn_id { capacity } ->
-    let d = Conn_id.create ~capacity () in
-    { name; insert = Conn_id.insert d; remove = Conn_id.remove d;
-      lookup = (fun ?kind flow -> Conn_id.lookup d ?kind flow);
-      note_send = Conn_id.note_send d; stats = Conn_id.stats d;
-      length = (fun () -> Conn_id.length d);
-      iter = (fun f -> Conn_id.iter f d) }
+    let module E = Erase (Conn_id) in
+    E.v name (Conn_id.create ~capacity ())
   | Resizing_hash ->
-    let d = Resizing_hash.create () in
-    { name; insert = Resizing_hash.insert d; remove = Resizing_hash.remove d;
-      lookup = (fun ?kind flow -> Resizing_hash.lookup d ?kind flow);
-      note_send = Resizing_hash.note_send d; stats = Resizing_hash.stats d;
-      length = (fun () -> Resizing_hash.length d);
-      iter = (fun f -> Resizing_hash.iter f d) }
-  | Splay ->
-    let d = Splay.create () in
-    { name; insert = Splay.insert d; remove = Splay.remove d;
-      lookup = (fun ?kind flow -> Splay.lookup d ?kind flow);
-      note_send = Splay.note_send d; stats = Splay.stats d;
-      length = (fun () -> Splay.length d); iter = (fun f -> Splay.iter f d) }
+    let module E = Erase (Resizing_hash) in
+    E.v name (Resizing_hash.create ())
+  | Splay -> let module E = Erase (Splay) in E.v name (Splay.create ())
   | Lru_cache { entries } ->
-    let d = Lru_cache.create ~entries () in
-    { name; insert = Lru_cache.insert d; remove = Lru_cache.remove d;
-      lookup = (fun ?kind flow -> Lru_cache.lookup d ?kind flow);
-      note_send = Lru_cache.note_send d; stats = Lru_cache.stats d;
-      length = (fun () -> Lru_cache.length d);
-      iter = (fun f -> Lru_cache.iter f d) }
-  | Cuckoo ->
-    let d = Cuckoo.create () in
-    { name; insert = Cuckoo.insert d; remove = Cuckoo.remove d;
-      lookup = (fun ?kind flow -> Cuckoo.lookup d ?kind flow);
-      note_send = Cuckoo.note_send d; stats = Cuckoo.stats d;
-      length = (fun () -> Cuckoo.length d);
-      iter = (fun f -> Cuckoo.iter f d) }
+    let module E = Erase (Lru_cache) in
+    E.v name (Lru_cache.create ~entries ())
+  | Cuckoo -> let module E = Erase (Cuckoo) in E.v name (Cuckoo.create ())
   | Guarded { spec = inner_spec; max_chain; max_total } ->
     let chains, hasher = chain_geometry inner_spec in
     guard

@@ -1,15 +1,4 @@
-(* Index entry: the chain node plus its bucket at the current table
-   size; [grow] rebuilds the index with fresh homes. *)
-type 'a entry = { node : 'a Chain.node; home : int }
-
-type 'a t = {
-  mutable chains : 'a Chain.t array;
-  hasher : Hashing.Hashers.t;
-  mutable index : 'a entry Handle_table.t;
-  stats : Lookup_stats.t;
-  mutable next_id : int;
-  mutable population : int;
-}
+type 'a t = { pool : 'a Pcb_pool.t; hasher : Hashing.Hashers.t }
 
 let name = "resizing-hash"
 
@@ -17,71 +6,33 @@ let create ?(initial_buckets = 16) ?(hasher = Hashing.Hashers.multiplicative)
     () =
   if initial_buckets <= 0 then
     invalid_arg "Resizing_hash.create: initial_buckets <= 0";
-  { chains = Array.init initial_buckets (fun _ -> Chain.create ()); hasher;
-    index = Handle_table.create ~initial_capacity:64 ();
-    stats = Lookup_stats.create (); next_id = 0; population = 0 }
+  { pool = Pcb_pool.create ~chains:initial_buckets (); hasher }
 
-let buckets t = Array.length t.chains
+let buckets t = Pcb_pool.chains t.pool
 
 (* Allocation-free bucket selection from the flow's fields. *)
 let bucket_index t flow =
-  Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.chains) flow
+  Hashing.Hashers.bucket_flow t.hasher ~buckets:(buckets t) flow
 
-let grow t =
-  let old = t.chains in
-  t.chains <- Array.init (2 * Array.length old) (fun _ -> Chain.create ());
-  t.index <- Handle_table.create ~initial_capacity:(2 * t.population) ();
-  Array.iter
-    (fun chain ->
-      Chain.iter
-        (fun pcb ->
-          let flow = pcb.Pcb.flow in
-          let home = bucket_index t flow in
-          let node = Chain.push_front t.chains.(home) pcb in
-          Handle_table.replace t.index flow { node; home })
-        chain)
-    old
-
+(* Double the buckets once the load factor reaches 1, before a new
+   flow goes in; a duplicate raises without growing. *)
 let insert t flow data =
-  if Handle_table.mem t.index flow then
-    invalid_arg "Resizing_hash.insert: duplicate flow";
-  if t.population >= Array.length t.chains then grow t;
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let home = bucket_index t flow in
-  let node = Chain.push_front t.chains.(home) pcb in
-  Handle_table.replace t.index flow { node; home };
-  t.population <- t.population + 1;
-  Lookup_stats.note_insert t.stats;
-  pcb
+  let n = buckets t in
+  if Pcb_pool.length t.pool >= n && not (Pcb_pool.mem t.pool flow) then
+    Pcb_pool.rechain t.pool ~chains:(2 * n)
+      (Hashing.Hashers.bucket_flow t.hasher ~buckets:(2 * n));
+  Pcb_pool.insert t.pool ~chain:(bucket_index t flow) flow data
 
 let remove t flow =
-  match Handle_table.find t.index flow with
-  | exception Not_found -> None
-  | { node; home } ->
-    Chain.remove t.chains.(home) node;
-    Handle_table.remove t.index flow;
-    t.population <- t.population - 1;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
+  let s = Pcb_pool.remove t.pool flow in
+  if s < 0 then None else Some (Pcb_pool.pcb t.pool s)
 
 let lookup t ?kind:_ flow =
-  Lookup_stats.begin_lookup t.stats;
-  match Chain.scan t.chains.(bucket_index t flow) ~stats:t.stats flow with
-  | Some node ->
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-    Some pcb
-  | None ->
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
+  Lookup_stats.begin_lookup (Pcb_pool.stats t.pool);
+  Pcb_pool.finish t.pool ~hit_cache:false
+    (Pcb_pool.scan t.pool ~chain:(bucket_index t flow) flow)
 
-let note_send t flow =
-  match Handle_table.find t.index flow with
-  | { node; _ } -> Pcb.note_tx (Chain.pcb node)
-  | exception Not_found -> ()
-
-let stats t = t.stats
-let length t = t.population
-let iter f t = Array.iter (fun chain -> Chain.iter f chain) t.chains
+let note_send t flow = Pcb_pool.note_send t.pool flow
+let stats t = Pcb_pool.stats t.pool
+let length t = Pcb_pool.length t.pool
+let iter f t = Pcb_pool.iter f t.pool

@@ -1,19 +1,7 @@
-type 'a bucket = {
-  chain : 'a Chain.t;
-  mutable cache : 'a Chain.node option;
-}
-
-(* Index entry: the chain node plus the bucket it lives in, so
-   [remove] never re-hashes the flow the index already proved
-   present. *)
-type 'a entry = { node : 'a Chain.node; home : int }
-
 type 'a t = {
-  buckets : 'a bucket array;
+  pool : 'a Pcb_pool.t;
+  caches : int array;  (* per chain: the slot last found there, or -1 *)
   hasher : Hashing.Hashers.t;
-  index : 'a entry Handle_table.t;
-  stats : Lookup_stats.t;
-  mutable next_id : int;
 }
 
 let name = "sequent"
@@ -22,88 +10,52 @@ let default_chains = 19
 let create ?(chains = default_chains) ?(hasher = Hashing.Hashers.multiplicative)
     () =
   if chains <= 0 then invalid_arg "Sequent.create: chains <= 0";
-  { buckets =
-      Array.init chains (fun _ -> { chain = Chain.create (); cache = None });
-    hasher; index = Handle_table.create ~initial_capacity:64 ();
-    stats = Lookup_stats.create (); next_id = 0 }
-
-let chains t = Array.length t.buckets
+  { pool = Pcb_pool.create ~chains (); caches = Array.make chains (-1); hasher }
 
 (* Allocation-free: hashes the flow's fields directly instead of
    serialising a fresh 12-byte key per packet. *)
 let bucket_index t flow =
-  Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.buckets) flow
+  Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.caches) flow
 
 let insert t flow data =
-  if Handle_table.mem t.index flow then
-    invalid_arg "Sequent.insert: duplicate flow";
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let home = bucket_index t flow in
-  let bucket = t.buckets.(home) in
-  let node = Chain.push_front bucket.chain pcb in
-  Handle_table.replace t.index flow { node; home };
-  Lookup_stats.note_insert t.stats;
-  pcb
+  Pcb_pool.insert t.pool ~chain:(bucket_index t flow) flow data
 
 let remove t flow =
-  match Handle_table.find t.index flow with
-  | exception Not_found -> None
-  | { node; home } ->
-    let bucket = t.buckets.(home) in
-    (match bucket.cache with
-    | Some cached when cached == node -> bucket.cache <- None
-    | Some _ | None -> ());
-    Chain.remove bucket.chain node;
-    Handle_table.remove t.index flow;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
-
-(* Cache missed (or was cold): scan the chain.  Shared miss
-   continuation for [lookup_pcb]. *)
-let scan_chain t bucket flow =
-  match Chain.scan bucket.chain ~stats:t.stats flow with
-  | Some node as found ->
-    (* Store the scan's own option cell rather than a fresh [Some]. *)
-    bucket.cache <- found;
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-    pcb
-  | None ->
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    raise Not_found
+  let s = Pcb_pool.remove t.pool flow in
+  if s < 0 then None
+  else begin
+    let chain = bucket_index t flow in
+    if t.caches.(chain) = s then t.caches.(chain) <- -1;
+    Some (Pcb_pool.pcb t.pool s)
+  end
 
 let lookup_pcb t flow =
-  Lookup_stats.begin_lookup t.stats;
-  let bucket = t.buckets.(bucket_index t flow) in
-  match bucket.cache with
-  | Some node ->
-    Lookup_stats.examine t.stats ();
-    let pcb = Chain.pcb node in
-    if Pcb.matches pcb flow then begin
-      Pcb.note_rx pcb;
-      Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
-      pcb
+  let stats = Pcb_pool.stats t.pool in
+  Lookup_stats.begin_lookup stats;
+  let chain = bucket_index t flow in
+  let cached = Array.unsafe_get t.caches chain in
+  if Pcb_pool.probe t.pool cached flow then
+    Pcb_pool.found t.pool ~hit_cache:true cached
+  else
+    let s = Pcb_pool.scan t.pool ~chain flow in
+    if s >= 0 then begin
+      Array.unsafe_set t.caches chain s;
+      Pcb_pool.found t.pool ~hit_cache:false s
     end
-    else scan_chain t bucket flow
-  | None -> scan_chain t bucket flow
+    else begin
+      Lookup_stats.end_lookup stats ~hit_cache:false ~found:false;
+      raise Not_found
+    end
 
 let lookup t ?kind:_ flow =
   match lookup_pcb t flow with
   | pcb -> Some pcb
   | exception Not_found -> None
 
-let note_send t flow =
-  match Handle_table.find t.index flow with
-  | { node; _ } -> Pcb.note_tx (Chain.pcb node)
-  | exception Not_found -> ()
-
-let stats t = t.stats
-let length t = Handle_table.length t.index
-
-let iter f t =
-  Array.iter (fun bucket -> Chain.iter f bucket.chain) t.buckets
-
+let note_send t flow = Pcb_pool.note_send t.pool flow
+let stats t = Pcb_pool.stats t.pool
+let length t = Pcb_pool.length t.pool
+let iter f t = Pcb_pool.iter f t.pool
 let chain_lengths t =
-  Array.map (fun bucket -> Chain.length bucket.chain) t.buckets
+  Array.init (Array.length t.caches) (fun chain ->
+      Pcb_pool.chain_length t.pool ~chain)

@@ -1,90 +1,50 @@
 type 'a t = {
-  chain : 'a Chain.t;
-  index : 'a Chain.node Flow_table.t;
-  stats : Lookup_stats.t;
-  mutable received : 'a Chain.node option;
-  mutable sent : 'a Chain.node option;
-  mutable next_id : int;
+  pool : 'a Pcb_pool.t;
+  mutable received : int;
+  mutable sent : int;
 }
 
 let name = "sr-cache"
-
-let create () =
-  { chain = Chain.create (); index = Flow_table.create 64;
-    stats = Lookup_stats.create (); received = None; sent = None;
-    next_id = 0 }
-
-let insert t flow data =
-  if Flow_table.mem t.index flow then
-    invalid_arg "Sr_cache.insert: duplicate flow";
-  let pcb = Pcb.make ~id:t.next_id ~flow data in
-  t.next_id <- t.next_id + 1;
-  let node = Chain.push_front t.chain pcb in
-  Flow_table.replace t.index flow node;
-  Lookup_stats.note_insert t.stats;
-  pcb
+let create () = { pool = Pcb_pool.create (); received = -1; sent = -1 }
+let insert t flow data = Pcb_pool.insert t.pool ~chain:0 flow data
 
 let remove t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> None
-  | Some node ->
-    (match t.received with
-    | Some cached when cached == node -> t.received <- None
-    | Some _ | None -> ());
-    (match t.sent with
-    | Some cached when cached == node -> t.sent <- None
-    | Some _ | None -> ());
-    Chain.remove t.chain node;
-    Flow_table.remove t.index flow;
-    Lookup_stats.note_remove t.stats;
-    Some (Chain.pcb node)
-
-let probe t slot flow =
-  match slot with
-  | None -> None
-  | Some node ->
-    Lookup_stats.examine t.stats ();
-    if Pcb.matches (Chain.pcb node) flow then Some node else None
+  let s = Pcb_pool.remove t.pool flow in
+  if s < 0 then None
+  else begin
+    if t.received = s then t.received <- -1;
+    if t.sent = s then t.sent <- -1;
+    Some (Pcb_pool.pcb t.pool s)
+  end
 
 let lookup t ?(kind = Types.Data) flow =
-  Lookup_stats.begin_lookup t.stats;
+  Lookup_stats.begin_lookup (Pcb_pool.stats t.pool);
   let first, second =
     match kind with
     | Types.Data -> (t.received, t.sent)
     | Types.Pure_ack -> (t.sent, t.received)
   in
-  let finish ~hit_cache node =
-    t.received <- Some node;
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
-    Some pcb
+  let hit_cache, s =
+    if Pcb_pool.probe t.pool first flow then (true, first)
+    else if Pcb_pool.probe t.pool second flow then (true, second)
+    else (false, Pcb_pool.scan t.pool ~chain:0 flow)
   in
-  match probe t first flow with
-  | Some node -> finish ~hit_cache:true node
-  | None -> (
-    match probe t second flow with
-    | Some node -> finish ~hit_cache:true node
-    | None -> (
-      match Chain.scan t.chain ~stats:t.stats flow with
-      | Some node -> finish ~hit_cache:false node
-      | None ->
-        Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-        None))
+  if s >= 0 then t.received <- s;
+  Pcb_pool.finish t.pool ~hit_cache s
 
 let note_send t flow =
-  match Flow_table.find_opt t.index flow with
-  | Some node ->
-    t.sent <- Some node;
-    Pcb.note_tx (Chain.pcb node)
-  | None -> ()
+  let s = Pcb_pool.slot t.pool flow in
+  if s >= 0 then begin
+    t.sent <- s;
+    Pcb.note_tx (Pcb_pool.pcb t.pool s)
+  end
 
-let stats t = t.stats
-let length t = Chain.length t.chain
-let iter f t = Chain.iter f t.chain
+let stats t = Pcb_pool.stats t.pool
+let length t = Pcb_pool.length t.pool
+let iter f t = Pcb_pool.iter f t.pool
 
-let cached_received_flow t =
-  Option.map (fun node -> (Chain.pcb node).Pcb.flow) t.received
+let cached_flow t s =
+  if s < 0 then None else Some (Pcb_pool.pcb t.pool s).Pcb.flow
 
-let cached_sent_flow t =
-  Option.map (fun node -> (Chain.pcb node).Pcb.flow) t.sent
+let cached_received_flow t = cached_flow t t.received
+let cached_sent_flow t = cached_flow t t.sent

@@ -127,7 +127,7 @@ module Make (St : Demux.Storage.S) : S = struct
      probe; no closures, so the warm read path allocates nothing. *)
   let pin_published t reader =
     Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
+    Demux.Lookup_stats.examine reader.stats ~count:1;
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     Atomic.get t.published
 
@@ -173,7 +173,7 @@ module Make (St : Demux.Storage.S) : S = struct
       for i = 0 to n - 1 do
         let { Packet.Flow.w0; w1 } = flows.(i) in
         Demux.Lookup_stats.begin_lookup reader.stats;
-        Demux.Lookup_stats.examine reader.stats ();
+        Demux.Lookup_stats.examine reader.stats ~count:1;
         let hit = Region.slot r ~hash:(hash_at t i w0 w1) ~w0 ~w1 >= 0 in
         if hit then incr found;
         Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false ~found:hit
@@ -330,7 +330,7 @@ module Make (St : Demux.Storage.S) : S = struct
       lookup =
         (fun ?kind:_ flow ->
           Demux.Lookup_stats.begin_lookup stats;
-          Demux.Lookup_stats.examine stats ();
+          Demux.Lookup_stats.examine stats ~count:1;
           let h = handle flow in
           Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:(h >= 0);
           if h < 0 then None else Some (Demux.Handle_table.Slots.get pcbs h));

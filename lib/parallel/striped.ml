@@ -1,9 +1,10 @@
+module Pool = Demux.Pcb_pool
+
+(* One chain per stripe, with its one-entry cache (a slot, or -1). *)
 type 'a stripe = {
   mutex : Mutex.t;
-  chain : 'a Demux.Chain.t;
-  index : 'a Demux.Chain.node Demux.Handle_table.t;
-  mutable cache : 'a Demux.Chain.node option;
-  stats : Demux.Lookup_stats.t;
+  pool : 'a Pool.t;
+  mutable cache : int;
 }
 
 type 'a t = {
@@ -19,10 +20,7 @@ let create ?(chains = Demux.Sequent.default_chains)
   if chains <= 0 then invalid_arg "Striped.create: chains <= 0";
   { stripes =
       Array.init chains (fun _ ->
-          { mutex = Mutex.create (); chain = Demux.Chain.create ();
-            index = Demux.Handle_table.create ~initial_capacity:16 ();
-            cache = None;
-            stats = Demux.Lookup_stats.create () });
+          { mutex = Mutex.create (); pool = Pool.create (); cache = -1 });
     hasher; next_id = Atomic.make 0; population = Atomic.make 0; pressure }
 
 let set_pressure t p = t.pressure <- Some p
@@ -47,22 +45,19 @@ let with_stripe stripe f =
   Fun.protect ~finally:(fun () -> Mutex.unlock stripe.mutex) f
 
 let insert_locked t stripe flow data =
-  if Demux.Handle_table.mem stripe.index flow then
+  if Pool.mem stripe.pool flow then
     invalid_arg "Striped.insert: duplicate flow";
   let id = Atomic.fetch_and_add t.next_id 1 in
-  let pcb = Demux.Pcb.make ~id ~flow data in
   (* With a pressure controller attached, the index mutation is timed:
      its latency (which carries the incremental-resize tax, if any) is
      one of the controller's two load signals. *)
   let started =
     match t.pressure with Some _ -> Obs.Clock.now_ns () | None -> 0
   in
-  let node = Demux.Chain.push_front stripe.chain pcb in
-  Demux.Handle_table.replace stripe.index flow node;
+  let pcb = Pool.insert ~id stripe.pool ~chain:0 flow data in
   (match t.pressure with
   | Some p -> Pressure.note_insert_ns p (Obs.Clock.now_ns () - started)
   | None -> ());
-  Demux.Lookup_stats.note_insert stripe.stats;
   Atomic.incr t.population;
   pcb
 
@@ -78,58 +73,38 @@ let insert t flow data =
 let try_insert t flow data =
   let stripe = stripe_of_flow t flow in
   with_stripe stripe (fun () ->
-      if Demux.Handle_table.mem stripe.index flow then `Duplicate
+      if Pool.mem stripe.pool flow then `Duplicate
       else
         match t.pressure with
         | Some p when not (Pressure.admits_new_flows p) ->
           Pressure.note_shed_flow p;
-          Demux.Lookup_stats.note_rejection stripe.stats;
+          Demux.Lookup_stats.note_rejection (Pool.stats stripe.pool);
           `Shed
         | _ -> `Inserted (insert_locked t stripe flow data))
 
 let remove t flow =
   let stripe = stripe_of_flow t flow in
   with_stripe stripe (fun () ->
-      match Demux.Handle_table.find stripe.index flow with
-      | exception Not_found -> None
-      | node ->
-        (match stripe.cache with
-        | Some cached when cached == node -> stripe.cache <- None
-        | Some _ | None -> ());
-        Demux.Chain.remove stripe.chain node;
-        Demux.Handle_table.remove stripe.index flow;
-        Demux.Lookup_stats.note_remove stripe.stats;
+      let s = Pool.remove stripe.pool flow in
+      if s < 0 then None
+      else begin
+        if stripe.cache = s then stripe.cache <- -1;
         Atomic.decr t.population;
-        Some (Demux.Chain.pcb node))
-
-let cache_probe stripe flow =
-  match stripe.cache with
-  | None -> None
-  | Some node ->
-    Demux.Lookup_stats.examine stripe.stats ();
-    if Demux.Pcb.matches (Demux.Chain.pcb node) flow then Some node else None
+        Some (Pool.pcb stripe.pool s)
+      end)
 
 (* The receive-path lookup body; caller holds the stripe lock. *)
 let lookup_locked stripe flow =
-  Demux.Lookup_stats.begin_lookup stripe.stats;
-  match cache_probe stripe flow with
-  | Some node ->
-    let pcb = Demux.Chain.pcb node in
-    Demux.Pcb.note_rx pcb;
-    Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:true ~found:true;
-    Some pcb
-  | None -> (
-    match Demux.Chain.scan stripe.chain ~stats:stripe.stats flow with
-    | Some node as found ->
-      (* Reuse the scan's option cell instead of a fresh [Some]. *)
-      stripe.cache <- found;
-      let pcb = Demux.Chain.pcb node in
-      Demux.Pcb.note_rx pcb;
-      Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:false ~found:true;
-      Some pcb
-    | None ->
-      Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:false ~found:false;
-      None)
+  let pool = stripe.pool in
+  Demux.Lookup_stats.begin_lookup (Pool.stats pool);
+  let cached = stripe.cache in
+  if Pool.probe pool cached flow then
+    Some (Pool.found pool ~hit_cache:true cached)
+  else begin
+    let s = Pool.scan pool ~chain:0 flow in
+    if s >= 0 then stripe.cache <- s;
+    Pool.finish pool ~hit_cache:false s
+  end
 
 let lookup t ?kind:_ flow =
   let stripe = stripe_of_flow t flow in
@@ -172,7 +147,8 @@ let run_lookup_batch t flows (first, order) =
     if hi > lo then begin
       let stripe = t.stripes.(s) in
       with_stripe stripe (fun () ->
-          Demux.Lookup_stats.note_batch stripe.stats ~size:(hi - lo);
+          Demux.Lookup_stats.note_batch (Pool.stats stripe.pool)
+            ~size:(hi - lo);
           for k = lo to hi - 1 do
             match lookup_locked stripe flows.(order.(k)) with
             | Some _ -> incr found
@@ -212,7 +188,8 @@ let insert_batch t entries =
       if hi > lo then begin
         let stripe = t.stripes.(s) in
         with_stripe stripe (fun () ->
-            Demux.Lookup_stats.note_batch stripe.stats ~size:(hi - lo);
+            Demux.Lookup_stats.note_batch (Pool.stats stripe.pool)
+              ~size:(hi - lo);
             for k = lo to hi - 1 do
               let i = order.(k) in
               let flow, data = entries.(i) in
@@ -227,17 +204,14 @@ let insert_batch t entries =
 
 let note_send t flow =
   let stripe = stripe_of_flow t flow in
-  with_stripe stripe (fun () ->
-      match Demux.Handle_table.find stripe.index flow with
-      | node -> Demux.Pcb.note_tx (Demux.Chain.pcb node)
-      | exception Not_found -> ())
+  with_stripe stripe (fun () -> Pool.note_send stripe.pool flow)
 
 let length t = Atomic.get t.population
 
 let iter f t =
   Array.iter
     (fun stripe ->
-      with_stripe stripe (fun () -> Demux.Chain.iter f stripe.chain))
+      with_stripe stripe (fun () -> Pool.iter f stripe.pool))
     t.stripes
 
 let stats t =
@@ -246,5 +220,5 @@ let stats t =
        (Array.map
           (fun stripe ->
             with_stripe stripe (fun () ->
-                Demux.Lookup_stats.snapshot stripe.stats))
+                Demux.Lookup_stats.snapshot (Pool.stats stripe.pool)))
           t.stripes))
