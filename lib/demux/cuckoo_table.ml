@@ -183,18 +183,10 @@ module Make (St : Storage.S) : S = struct
 
   (* --- bucket scans ------------------------------------------------ *)
 
-  (* Tag vector first: the eight contiguous tag bytes of the bucket
-     are compared before any key word is loaded.  Top-level recursion
-     with every parameter explicit — an inner [go] would close over
-     the scan state and allocate a closure per lookup, blowing the
-     zero-minor-words warm-hit budget. *)
-  let rec scan_slots st s stop tag w0 w1 =
-    if s = stop then -1
-    else if St.tag st s = tag && St.w0 st s = w0 && St.w1 st s = w1 then s
-    else scan_slots st (s + 1) stop tag w0 w1
-
+  (* Tag byte first: each of the bucket's eight contiguous tags is
+     compared before that slot's key words are loaded. *)
   let[@inline] scan_bucket st base tag w0 w1 =
-    scan_slots st base (base + slots_per_bucket) tag w0 w1
+    St.scan st ~tag ~w0 ~w1 ~from:base ~stop:(base + slots_per_bucket)
 
   let rec free_from st s stop =
     if s = stop then -1

@@ -1,6 +1,7 @@
 (* Slot storage backends for packed flow tables.  See storage.mli for
-   the layout contract and packed_table.ml for the probing machinery
-   that runs over it. *)
+   the layout contract, and packed_table.ml and cuckoo_table.ml for
+   the engines that run over it.  The two loops a lookup spends its
+   time in, [probe] and [scan], are written here once per backend. *)
 
 module type S = sig
   type t
@@ -20,6 +21,8 @@ module type S = sig
   val set_words : t -> int -> w0:int -> w1:int -> unit
   val value : t -> int -> int
   val set_value : t -> int -> int -> unit
+  val probe : t -> tag:int -> w0:int -> w1:int -> home:int -> int
+  val scan : t -> tag:int -> w0:int -> w1:int -> from:int -> stop:int -> int
   val copy : t -> t
   val reset : t -> unit
   val scrub : t -> unit
@@ -83,6 +86,40 @@ module Heap = struct
 
   let[@inline] value t i = Array.unsafe_get t.vals i
   let[@inline] set_value t i v = Array.unsafe_set t.vals i v
+
+  (* The lookup probe, over this backend's own arrays so every slot
+     read is an inline load (through Packed_table's functor each
+     accessor would be a closure call).  A top-level [rec] with
+     explicit arguments, so a probe allocates nothing.  The distance
+     test is the Robin-Hood stop: had the key been present it would
+     have displaced a resident closer to its home than the probe is
+     to the key's.  A dead slot keeps its stored hash, so the test
+     still holds on a frozen old region, and never matches: live tags
+     avoid 255. *)
+  let rec probe_from t tag w0 w1 slot dist =
+    let resident = Char.code (Bytes.unsafe_get t.tags slot) in
+    if resident = 0 then -1
+    else if
+      resident = tag
+      && Array.unsafe_get t.w0s slot = w0
+      && Array.unsafe_get t.w1s slot = w1
+    then slot
+    else if (slot - Array.unsafe_get t.hs slot) land t.mask < dist then -1
+    else probe_from t tag w0 w1 ((slot + 1) land t.mask) (dist + 1)
+
+  let probe t ~tag ~w0 ~w1 ~home = probe_from t tag w0 w1 (home land t.mask) 0
+
+  (* The bucket scan: the first slot in [s, stop) holding the key. *)
+  let rec scan_from t tag w0 w1 s stop =
+    if s = stop then -1
+    else if
+      Char.code (Bytes.unsafe_get t.tags s) = tag
+      && Array.unsafe_get t.w0s s = w0
+      && Array.unsafe_get t.w1s s = w1
+    then s
+    else scan_from t tag w0 w1 (s + 1) stop
+
+  let scan t ~tag ~w0 ~w1 ~from ~stop = scan_from t tag w0 w1 from stop
 
   let copy t =
     {
@@ -190,6 +227,31 @@ module Offheap = struct
 
   let[@inline] value t i = Array1.unsafe_get t.vals i
   let[@inline] set_value t i v = Array1.unsafe_set t.vals i v
+
+  (* Heap's probe over the Bigarray lanes. *)
+  let rec probe_from t tag w0 w1 slot dist =
+    let resident = Array1.unsafe_get t.tags slot in
+    if resident = 0 then -1
+    else if
+      resident = tag
+      && Array1.unsafe_get t.w0s slot = w0
+      && Array1.unsafe_get t.w1s slot = w1
+    then slot
+    else if (slot - Array1.unsafe_get t.hs slot) land t.mask < dist then -1
+    else probe_from t tag w0 w1 ((slot + 1) land t.mask) (dist + 1)
+
+  let probe t ~tag ~w0 ~w1 ~home = probe_from t tag w0 w1 (home land t.mask) 0
+
+  let rec scan_from t tag w0 w1 s stop =
+    if s = stop then -1
+    else if
+      Array1.unsafe_get t.tags s = tag
+      && Array1.unsafe_get t.w0s s = w0
+      && Array1.unsafe_get t.w1s s = w1
+    then s
+    else scan_from t tag w0 w1 (s + 1) stop
+
+  let scan t ~tag ~w0 ~w1 ~from ~stop = scan_from t tag w0 w1 from stop
 
   let copy t =
     let c = capacity t in

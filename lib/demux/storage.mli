@@ -66,6 +66,19 @@ module type S = sig
   val value : t -> int -> int
   val set_value : t -> int -> int -> unit
 
+  val probe : t -> tag:int -> w0:int -> w1:int -> home:int -> int
+  (** The Robin-Hood lookup: the slot holding key [(w0, w1)] with tag
+      byte [tag], or -1, walking from slot [home land mask t] and
+      stopping at an empty slot or at a resident closer to its home
+      (by its stored hash) than the walk is to [home].  Allocates
+      nothing.  Each backend writes it over its own lanes so a probe
+      step costs plain loads, not accessor calls. *)
+
+  val scan : t -> tag:int -> w0:int -> w1:int -> from:int -> stop:int -> int
+  (** The first slot in [\[from, stop)] with tag byte [tag] and key
+      [(w0, w1)], or -1: {!Cuckoo_table}'s bucket scan, written per
+      backend for the same reason as {!probe}. *)
+
   val copy : t -> t
   (** Deep copy (for copy-on-write publication). *)
 
