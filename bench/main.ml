@@ -431,12 +431,13 @@ let run_e29 ~smoke ~(emit : emit) =
   assert_e29 rows;
   row
     "Same multiplicative hash, same packed 96-bit key; the chained\n\
-     walk compares each PCB's inline key words and follows its int\n\
-     link, while the flat table probes tag-filtered inline words.  Both\n\
-     paths allocate nothing per lookup (the words columns are\n\
-     measurement-harness noise); the chained walk grows with N/H PCBs\n\
-     per chain while the flat probe stays put, which is the\n\
-     Cuckoo++/DPDK argument for flat connection tracking.\n"
+     walk reads its chain's contiguous one-int entries (a key\n\
+     fingerprint above a slot) from the head down, while the flat table\n\
+     probes tag-filtered inline words.  Both paths allocate nothing per\n\
+     lookup (the words columns are measurement-harness noise); the\n\
+     chained walk grows with N/H PCBs per chain while the flat probe\n\
+     stays put, which is the Cuckoo++/DPDK argument for flat connection\n\
+     tracking.\n"
 
 (* E31: per-insert latency tail across a churn ramp, incremental vs
    doubling resize (DESIGN.md section 12).  Keys are synthesized
